@@ -122,31 +122,19 @@ pattern_term(const PatternRef& node,
 }
 
 /**
- * Equivalence of two instantiated terms: exact first, randomized
- * fallback on overflow. Shape errors count as not equivalent.
+ * Equivalence of two instantiated terms. Shape errors count as not
+ * equivalent.
  */
 Verdict
-compare_terms(const TermRef& lhs, const TermRef& rhs, bool* random_used)
+compare_terms(const TermRef& lhs, const TermRef& rhs)
 {
-    Verdict v = Verdict::kNotEquivalent;
     try {
-        v = lhs->is_scalar() && rhs->is_scalar()
-                ? scalar_equivalent(lhs, rhs)
-                : validate_translation(lhs, rhs);
+        return lhs->is_scalar() && rhs->is_scalar()
+                   ? scalar_equivalent(lhs, rhs)
+                   : validate_translation(lhs, rhs);
     } catch (const std::exception&) {
         return Verdict::kNotEquivalent;
     }
-    if (v != Verdict::kUnknown) {
-        return v;
-    }
-    *random_used = true;
-    bool ok = false;
-    try {
-        ok = random_equivalent(lhs, rhs, /*trials=*/32);
-    } catch (const std::exception&) {
-        ok = false;
-    }
-    return ok ? Verdict::kUnknown : Verdict::kNotEquivalent;
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +177,7 @@ lint_pattern_rule(const Rewrite& rule, const Pattern& lhs,
     const TermRef rhs_term = pattern_term(rhs.root(), binding);
 
     res.exercised = true;
-    res.verdict = compare_terms(lhs_term, rhs_term, &res.random_checked);
+    res.verdict = compare_terms(lhs_term, rhs_term);
     if (res.verdict == Verdict::kNotEquivalent) {
         res.detail = "lhs " + Term::to_string(lhs_term) + " != rhs " +
                      Term::to_string(rhs_term);
@@ -353,17 +341,12 @@ lint_custom_rule(const Rewrite& rule, int width)
         if (Term::equal(candidate, witness)) {
             continue;
         }
-        const Verdict v =
-            compare_terms(witness, candidate, &res.random_checked);
-        if (v == Verdict::kNotEquivalent) {
+        if (compare_terms(witness, candidate) == Verdict::kNotEquivalent) {
             res.verdict = Verdict::kNotEquivalent;
             res.detail = "alternative " + Term::to_string(candidate) +
                          " is not equivalent to witness " +
                          Term::to_string(witness);
             return res;
-        }
-        if (v == Verdict::kUnknown) {
-            res.verdict = Verdict::kUnknown;
         }
     }
     return res;
@@ -410,10 +393,6 @@ lint_to_diags(const std::vector<RuleLintResult>& results,
             diags.warning(kPass, "R302",
                           "rule '" + r.rule +
                               "' was not exercised: " + r.detail);
-        } else if (r.random_checked) {
-            diags.note(kPass, "R303",
-                       "rule '" + r.rule +
-                           "' verified by randomized evaluation only");
         }
     }
     return sound;

@@ -1163,8 +1163,7 @@ validate_machine_translation(const TermRef& padded_spec,
                              const std::vector<vir::OutputSlot>& slots,
                              const Program& program,
                              const vir::CompiledLayout& layout,
-                             const TargetSpec& target,
-                             const ValidationLimits& limits)
+                             const TargetSpec& target)
 {
     MachineValidation result;
 
@@ -1213,7 +1212,10 @@ validate_machine_translation(const TermRef& padded_spec,
     }
 
     // Compare every padded output location against its spec element.
+    // One Fingerprinter serves the whole program, so spec and machine
+    // subterms shared across outputs are evaluated once.
     const auto inputs = input_arrays(layout);
+    Fingerprinter fingerprints;
     std::string unknown_detail;
     std::size_t cursor = 0;
     for (const auto& slot : slots) {
@@ -1239,36 +1241,27 @@ validate_machine_translation(const TermRef& padded_spec,
                 padded_spec->child(cursor + static_cast<std::size_t>(j));
             const TermRef& mach_el =
                 m.mem[static_cast<std::size_t>(entry->base + j)];
-            Verdict v = scalar_equivalent(spec_el, mach_el, limits);
-            if (v == Verdict::kUnknown &&
-                !random_equivalent(spec_el, mach_el)) {
-                // The exact check capped out but random testing already
-                // disagrees: treat as a candidate inequivalence.
-                v = Verdict::kNotEquivalent;
+            if (fingerprints.of(spec_el) == fingerprints.of(mach_el)) {
+                continue;
             }
             const std::string where =
                 slot.name + "[" + std::to_string(j) + "]";
-            if (v == Verdict::kNotEquivalent) {
-                auto witness = find_witness(spec_el, mach_el, inputs,
-                                            slot.name, j);
-                if (witness) {
-                    result.verdict = Verdict::kNotEquivalent;
-                    result.detail =
-                        "machine code diverges from the spec at " + where;
-                    result.witness = std::move(witness);
-                    return result;
-                }
-                // Canonical mismatch with no concrete divergence: do not
-                // cry wolf (float-rounded constants can do this); the
-                // verdict honestly stays unknown.
-                if (unknown_detail.empty()) {
-                    unknown_detail = "canonical mismatch at " + where +
-                                     " but no concrete diverging input "
-                                     "was found";
-                }
-            } else if (v == Verdict::kUnknown && unknown_detail.empty()) {
-                unknown_detail =
-                    "exact canonicalization capped out at " + where;
+            auto witness =
+                find_witness(spec_el, mach_el, inputs, slot.name, j);
+            if (witness) {
+                result.verdict = Verdict::kNotEquivalent;
+                result.detail =
+                    "machine code diverges from the spec at " + where;
+                result.witness = std::move(witness);
+                return result;
+            }
+            // Fingerprint mismatch with no concrete divergence: do not
+            // cry wolf (float-rounded constants can do this); the
+            // verdict honestly stays unknown.
+            if (unknown_detail.empty()) {
+                unknown_detail = "fingerprint mismatch at " + where +
+                                 " but no concrete diverging input was "
+                                 "found";
             }
         }
         cursor += static_cast<std::size_t>(slot.padded_len);

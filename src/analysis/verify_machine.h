@@ -4,7 +4,7 @@
  * validation: the last links of the verification chain (DESIGN.md §5i).
  *
  * Everything upstream of emission is already gated (V0xx over VIR, E1xx/
- * E2xx over the e-graph, R3xx over the rule set, exact term-level
+ * E2xx over the e-graph, R3xx over the rule set, term-level
  * translation validation), but the final artifact — scheduled machine
  * code — was not: a wrong shuffle lane in emit.cpp, a WAR-violating
  * reorder in the list scheduler, or a clobbered accumulator register was
@@ -101,11 +101,12 @@ struct MachineValidation {
  * Symbolically executes a straight-line machine program — registers and
  * memory words as scalar terms, inputs seeded from the layout as
  * Get(array, i) atoms, the constant pool as exact rationals — then
- * feeds every padded output location into the exact polynomial
- * canonicalizer against the corresponding element of `padded_spec`.
+ * compares the GF(p) fingerprint of every padded output location with
+ * that of the corresponding element of `padded_spec`, using one
+ * Fingerprinter (validation/validate.h) for the whole program.
  *
  * kNotEquivalent is only reported when a concrete diverging input was
- * found (attached as the witness); a canonical mismatch that no random
+ * found (attached as the witness); a fingerprint mismatch that no random
  * environment reproduces degrades to kUnknown, so float-rounded
  * constants can never produce a false alarm. Programs with control flow
  * or register-relative addressing yield kUnknown with a detail message.
@@ -113,7 +114,7 @@ struct MachineValidation {
 MachineValidation validate_machine_translation(
     const TermRef& padded_spec, const std::vector<vir::OutputSlot>& slots,
     const Program& program, const vir::CompiledLayout& layout,
-    const TargetSpec& target, const ValidationLimits& limits = {});
+    const TargetSpec& target);
 
 /**
  * Debug-startup self-check (dioscc, mirroring --lint-rules): verifies a

@@ -102,7 +102,7 @@ emit_and_verify(CompiledKernel& out, const CompilerOptions& options,
                                         options.target);
     }
     // Symbolic machine-level validation is opt-in even in debug builds —
-    // it canonicalizes every output element, the same cost class as
+    // it fingerprints every output element, the same cost class as
     // term-level validate_translation.
     if (options.validate || options.verify_machine) {
         const analysis::MachineValidation mv =

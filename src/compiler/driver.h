@@ -63,7 +63,7 @@ struct CompilerOptions {
                            .time_limit_seconds = 180.0,
                            .match_limit_per_rule = 0};
     CostParams cost;
-    /** Run exact translation validation after extraction. */
+    /** Run translation validation after extraction. */
     bool validate = false;
     /** Also differential-test spec vs extracted term on random inputs. */
     bool random_check = false;
@@ -115,7 +115,7 @@ struct CompilerOptions {
      * padded spec. The structural/scheduling gates follow verify_ir's
      * build-type default (always on in debug and sanitizer builds);
      * symbolic validation runs only when this flag or `validate` is set,
-     * since it canonicalizes every output element. Release builds opt in
+     * since it fingerprints every output element. Release builds opt in
      * via dioscc --verify-machine. Structural failures raise
      * InternalError; a kNotEquivalent machine validation degrades the
      * resilient driver like a failed term-level validation does.

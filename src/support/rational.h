@@ -2,11 +2,10 @@
  * @file
  * Exact rational arithmetic over 64-bit integers with overflow detection.
  *
- * Used by the translation-validation canonicalizer (Section 3.4 of the
- * paper validates over real arithmetic; we decide term equality exactly by
- * normalizing polynomial coefficients as rationals). Overflow raises
- * RationalOverflow so callers can fall back to randomized checking rather
- * than silently reporting a wrong verdict.
+ * Term and e-graph constants are rationals, so constant folding and
+ * translation validation (Section 3.4 of the paper validates over real
+ * arithmetic) never round. Overflow raises RationalOverflow so callers can
+ * keep the unfolded form rather than silently computing a wrong value.
  */
 #pragma once
 

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <optional>
-#include <sstream>
-#include <unordered_map>
+#include <string_view>
 
 #include "ir/eval.h"
 #include "support/error.h"
 #include "support/faults.h"
+#include "support/hash.h"
 #include "support/rng.h"
 
 namespace diospyros {
@@ -139,276 +137,246 @@ devectorize(const TermRef& term)
 }
 
 // ---------------------------------------------------------------------------
-// Canonical polynomials
+// Fingerprints over GF(2^61 - 1)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/** Raised when canonicalization exceeds its resource caps. */
-class ValidationOverflow : public std::runtime_error {
-  public:
-    ValidationOverflow() : std::runtime_error("validation overflow") {}
-};
+/** The Mersenne prime 2^61 - 1: reduction is a shift and an add. */
+constexpr std::uint64_t kP = (std::uint64_t{1} << 61) - 1;
+/** Seed of the evaluation point. Fixed so verdicts are reproducible. */
+constexpr std::uint64_t kSeed = 0xd105'f1e1'd5ee'd001ULL;
 
-/** A monomial: sorted atom ids with multiplicity. */
-using Monomial = std::vector<int>;
-/** A polynomial: monomial -> coefficient, zero coefficients erased. */
-using Poly = std::map<Monomial, Rational>;
+std::uint64_t
+add_mod(std::uint64_t a, std::uint64_t b)
+{
+    const std::uint64_t s = a + b;
+    return s >= kP ? s - kP : s;
+}
 
-/**
- * Shared canonicalization context. One instance must canonicalize both
- * sides of an equivalence query so atom ids are assigned consistently.
- */
-class Canonicalizer {
-  public:
-    explicit Canonicalizer(const ValidationLimits& limits)
-        : limits_(limits)
-    {
+std::uint64_t
+neg_mod(std::uint64_t a)
+{
+    return a == 0 ? 0 : kP - a;
+}
+
+std::uint64_t
+mul_mod(std::uint64_t a, std::uint64_t b)
+{
+    const unsigned __int128 x = static_cast<unsigned __int128>(a) * b;
+    const std::uint64_t r = static_cast<std::uint64_t>(x & kP) +
+                            static_cast<std::uint64_t>(x >> 61);
+    return r >= kP ? r - kP : r;
+}
+
+/** a^(p-2) = a^-1 for a != 0 (Fermat). */
+std::uint64_t
+inv_mod(std::uint64_t a)
+{
+    std::uint64_t result = 1;
+    for (std::uint64_t e = kP - 2; e != 0; e >>= 1) {
+        if (e & 1) {
+            result = mul_mod(result, a);
+        }
+        a = mul_mod(a, a);
     }
+    return result;
+}
 
-    const Poly&
-    canonical(const TermRef& t)
-    {
-        auto it = memo_.find(t.get());
-        if (it != memo_.end()) {
-            return it->second;
-        }
-        Poly p = compute(t);
-        return memo_.emplace(t.get(), std::move(p)).first->second;
-    }
+std::uint64_t
+int_mod(std::int64_t n)
+{
+    const std::uint64_t magnitude =
+        n < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(n)
+              : static_cast<std::uint64_t>(n);
+    return n < 0 ? neg_mod(magnitude % kP) : magnitude % kP;
+}
 
-  private:
-    Poly
-    constant(Rational c)
-    {
-        Poly p;
-        if (!c.is_zero()) {
-            p.emplace(Monomial{}, c);
-        }
-        return p;
-    }
+std::uint64_t
+rational_mod(const Rational& r)
+{
+    return mul_mod(int_mod(r.num()), inv_mod(int_mod(r.den())));
+}
 
-    Poly
-    atom_poly(const std::string& key)
-    {
-        auto [it, inserted] =
-            atom_ids_.try_emplace(key, static_cast<int>(atom_ids_.size()));
-        (void)inserted;
-        Poly p;
-        p.emplace(Monomial{it->second}, Rational(1));
-        return p;
-    }
+/** Seeded hasher for an opaque atom; `tag` names the atom kind. */
+StableHasher
+atom_hasher(std::string_view tag)
+{
+    StableHasher h;
+    h.u64(kSeed).tag(tag);
+    return h;
+}
 
-    static void
-    add_into(Poly& dst, const Monomial& m, const Rational& c)
-    {
-        auto it = dst.find(m);
-        if (it == dst.end()) {
-            if (!c.is_zero()) {
-                dst.emplace(m, c);
-            }
-            return;
-        }
-        it->second += c;
-        if (it->second.is_zero()) {
-            dst.erase(it);
-        }
-    }
+/** Maps a hash into GF(p) (splitmix64 finalizer, then 61 bits). */
+std::uint64_t
+to_field(const StableHasher& h)
+{
+    std::uint64_t z = h.digest();
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    const std::uint64_t r = z >> 3;
+    return r >= kP ? r - kP : r;
+}
 
-    Poly
-    add(const Poly& a, const Poly& b)
-    {
-        Poly out = a;
-        for (const auto& [m, c] : b) {
-            add_into(out, m, c);
-        }
-        check_size(out);
-        return out;
-    }
-
-    Poly
-    scale(const Poly& a, const Rational& k)
-    {
-        Poly out;
-        if (k.is_zero()) {
-            return out;
-        }
-        for (const auto& [m, c] : a) {
-            out.emplace(m, c * k);
-        }
-        return out;
-    }
-
-    Poly
-    mul(const Poly& a, const Poly& b)
-    {
-        Poly out;
-        for (const auto& [ma, ca] : a) {
-            for (const auto& [mb, cb] : b) {
-                Monomial m;
-                m.reserve(ma.size() + mb.size());
-                std::merge(ma.begin(), ma.end(), mb.begin(), mb.end(),
-                           std::back_inserter(m));
-                add_into(out, m, ca * cb);
-                if (out.size() > limits_.max_monomials) {
-                    throw ValidationOverflow();
-                }
-            }
-        }
-        return out;
-    }
-
-    void
-    check_size(const Poly& p) const
-    {
-        if (p.size() > limits_.max_monomials) {
-            throw ValidationOverflow();
-        }
-    }
-
-    /** Deterministic text key of a polynomial (for nested atoms). */
-    std::string
-    poly_key(const Poly& p) const
-    {
-        std::ostringstream os;
-        for (const auto& [m, c] : p) {
-            os << c.to_string() << ':';
-            for (const int a : m) {
-                os << a << ',';
-            }
-            os << ';';
-        }
-        return os.str();
-    }
-
-    /** Square root of a rational if it is an exact perfect square. */
-    static std::optional<Rational>
-    exact_sqrt(const Rational& r)
-    {
-        if (r < Rational(0)) {
-            return std::nullopt;
-        }
-        auto isqrt = [](std::int64_t v) -> std::optional<std::int64_t> {
-            const auto root = static_cast<std::int64_t>(
-                std::llround(std::sqrt(static_cast<double>(v))));
-            for (std::int64_t cand = std::max<std::int64_t>(0, root - 2);
-                 cand <= root + 2; ++cand) {
-                if (cand * cand == v) {
-                    return cand;
-                }
-            }
-            return std::nullopt;
-        };
-        const auto n = isqrt(r.num());
-        const auto d = isqrt(r.den());
-        if (n && d) {
-            return Rational(*n, *d);
-        }
+/** Square root of a rational if it is an exact perfect square. */
+std::optional<Rational>
+exact_sqrt(const Rational& r)
+{
+    if (r < Rational(0)) {
         return std::nullopt;
     }
-
-    Poly
-    compute(const TermRef& t)
-    {
-        switch (t->op()) {
-          case Op::kConst:
-            return constant(t->value());
-          case Op::kSymbol:
-            return atom_poly("S:" + t->symbol().str());
-          case Op::kGet:
-            return atom_poly("G:" + t->symbol().str() + ":" +
-                             std::to_string(t->index()));
-          case Op::kAdd:
-            return add(canonical(t->child(0)), canonical(t->child(1)));
-          case Op::kSub:
-            return add(canonical(t->child(0)),
-                       scale(canonical(t->child(1)), Rational(-1)));
-          case Op::kNeg:
-            return scale(canonical(t->child(0)), Rational(-1));
-          case Op::kMul:
-            return mul(canonical(t->child(0)), canonical(t->child(1)));
-          case Op::kDiv:
-          case Op::kRecip: {
-            const Poly& den = canonical(
-                t->op() == Op::kDiv ? t->child(1) : t->child(0));
-            const Poly num_poly =
-                t->op() == Op::kDiv
-                    ? canonical(t->child(0))
-                    : constant(Rational(1));
-            // Constant denominator: exact division.
-            if (den.empty()) {
-                // Division by (exactly) zero: undefined over the reals;
-                // represent opaquely so both sides at least agree.
-                return mul(num_poly, atom_poly("R:zero"));
+    auto isqrt = [](std::int64_t v) -> std::optional<std::int64_t> {
+        const auto root = static_cast<std::int64_t>(
+            std::llround(std::sqrt(static_cast<double>(v))));
+        for (std::int64_t cand = std::max<std::int64_t>(0, root - 2);
+             cand <= root + 2; ++cand) {
+            if (cand * cand == v) {
+                return cand;
             }
-            if (den.size() == 1 && den.begin()->first.empty()) {
-                return scale(num_poly, Rational(1) / den.begin()->second);
-            }
-            return mul(num_poly, atom_poly("R:" + poly_key(den)));
-          }
-          case Op::kSqrt: {
-            const Poly& arg = canonical(t->child(0));
-            if (arg.empty()) {
-                return constant(Rational(0));
-            }
-            if (arg.size() == 1 && arg.begin()->first.empty()) {
-                if (const auto root = exact_sqrt(arg.begin()->second)) {
-                    return constant(*root);
-                }
-            }
-            return atom_poly("Q:" + poly_key(arg));
-          }
-          case Op::kSgn: {
-            const Poly& arg = canonical(t->child(0));
-            if (arg.empty()) {
-                return constant(Rational(0));
-            }
-            if (arg.size() == 1 && arg.begin()->first.empty()) {
-                return constant(
-                    Rational(arg.begin()->second < Rational(0) ? -1 : 1));
-            }
-            return atom_poly("N:" + poly_key(arg));
-          }
-          case Op::kCall: {
-            std::string key = "C:" + t->symbol().str();
-            for (const TermRef& c : t->children()) {
-                key += "|" + poly_key(canonical(c));
-            }
-            return atom_poly(key);
-          }
-          default:
-            throw UserError("cannot canonicalize vector operator " +
-                            std::string(op_name(t->op())) +
-                            "; devectorize first");
         }
+        return std::nullopt;
+    };
+    const auto n = isqrt(r.num());
+    const auto d = isqrt(r.den());
+    if (n && d) {
+        return Rational(*n, *d);
     }
-
-    ValidationLimits limits_;
-    std::unordered_map<std::string, int> atom_ids_;
-    std::unordered_map<const Term*, Poly> memo_;
-};
+    return std::nullopt;
+}
 
 }  // namespace
 
-Verdict
-scalar_equivalent(const TermRef& a, const TermRef& b,
-                  const ValidationLimits& limits)
+std::uint64_t
+Fingerprinter::of(const TermRef& t)
 {
-    try {
-        Canonicalizer canon(limits);
-        return canon.canonical(a) == canon.canonical(b)
-                   ? Verdict::kEquivalent
-                   : Verdict::kNotEquivalent;
-    } catch (const RationalOverflow&) {
-        return Verdict::kUnknown;
-    } catch (const ValidationOverflow&) {
-        return Verdict::kUnknown;
+    return eval(t).fp;
+}
+
+const Fingerprinter::Value&
+Fingerprinter::eval(const TermRef& t)
+{
+    auto it = memo_.find(t.get());
+    if (it != memo_.end()) {
+        return it->second;
+    }
+    Value v = compute(t);
+    return memo_.emplace(t.get(), std::move(v)).first->second;
+}
+
+Fingerprinter::Value
+Fingerprinter::compute(const TermRef& t)
+{
+    // Exact constant folding can overflow; that only loses the exact
+    // value (sqrt/sgn of it then hash opaquely), never the fingerprint.
+    auto fold = [](auto&& f) -> std::optional<Rational> {
+        try {
+            return f();
+        } catch (const RationalOverflow&) {
+            return std::nullopt;
+        }
+    };
+    switch (t->op()) {
+      case Op::kConst:
+        return {rational_mod(t->value()), t->value()};
+      case Op::kSymbol:
+        return {to_field(atom_hasher("S").str(t->symbol().str())), {}};
+      case Op::kGet:
+        return {to_field(atom_hasher("G")
+                             .str(t->symbol().str())
+                             .i64(t->index())),
+                {}};
+      case Op::kAdd:
+      case Op::kSub:
+      case Op::kMul: {
+        const Value& a = eval(t->child(0));
+        const Value& b = eval(t->child(1));
+        Value out;
+        if (t->op() == Op::kAdd) {
+            out.fp = add_mod(a.fp, b.fp);
+        } else if (t->op() == Op::kSub) {
+            out.fp = add_mod(a.fp, neg_mod(b.fp));
+        } else {
+            out.fp = mul_mod(a.fp, b.fp);
+        }
+        if (a.exact && b.exact) {
+            out.exact = fold([&] {
+                return t->op() == Op::kAdd   ? *a.exact + *b.exact
+                       : t->op() == Op::kSub ? *a.exact - *b.exact
+                                             : *a.exact * *b.exact;
+            });
+        }
+        return out;
+      }
+      case Op::kNeg: {
+        const Value& a = eval(t->child(0));
+        Value out{neg_mod(a.fp), {}};
+        if (a.exact) {
+            out.exact = fold([&] { return -*a.exact; });
+        }
+        return out;
+      }
+      case Op::kDiv:
+      case Op::kRecip: {
+        const Value one{1, Rational(1)};
+        const Value& num = t->op() == Op::kDiv ? eval(t->child(0)) : one;
+        const Value& den =
+            eval(t->op() == Op::kDiv ? t->child(1) : t->child(0));
+        if (den.fp == 0) {
+            // Division by zero is undefined over the reals; one opaque
+            // atom keeps both sides of a query in agreement.
+            return {mul_mod(num.fp, to_field(atom_hasher("R:zero"))), {}};
+        }
+        Value out{mul_mod(num.fp, inv_mod(den.fp)), {}};
+        if (num.exact && den.exact) {
+            out.exact = fold([&] { return *num.exact / *den.exact; });
+        }
+        return out;
+      }
+      case Op::kSqrt:
+      case Op::kSgn: {
+        const Value& a = eval(t->child(0));
+        if (a.fp == 0) {
+            return {0, Rational(0)};
+        }
+        std::optional<Rational> folded;
+        if (a.exact) {
+            folded = t->op() == Op::kSgn
+                         ? Rational(*a.exact < Rational(0) ? -1 : 1)
+                         : exact_sqrt(*a.exact);
+        }
+        if (folded) {
+            return {rational_mod(*folded), folded};
+        }
+        return {to_field(atom_hasher(t->op() == Op::kSqrt ? "Q" : "N")
+                             .u64(a.fp)),
+                {}};
+      }
+      case Op::kCall: {
+        StableHasher h = atom_hasher("C");
+        h.str(t->symbol().str());
+        for (const TermRef& c : t->children()) {
+            h.u64(eval(c).fp);
+        }
+        return {to_field(h), {}};
+      }
+      default:
+        throw UserError("cannot fingerprint vector operator " +
+                        std::string(op_name(t->op())) +
+                        "; devectorize first");
     }
 }
 
 Verdict
-validate_translation(const TermRef& spec, const TermRef& optimized,
-                     const ValidationLimits& limits)
+scalar_equivalent(const TermRef& a, const TermRef& b)
+{
+    Fingerprinter fingerprints;
+    return fingerprints.of(a) == fingerprints.of(b) ? Verdict::kEquivalent
+                                                    : Verdict::kNotEquivalent;
+}
+
+Verdict
+validate_translation(const TermRef& spec, const TermRef& optimized)
 {
     DIOS_FAULT_POINT("validate.exact");
     const std::vector<TermRef> lhs = devectorize(spec);
@@ -416,21 +384,15 @@ validate_translation(const TermRef& spec, const TermRef& optimized,
     if (rhs.size() < lhs.size()) {
         return Verdict::kNotEquivalent;
     }
-    try {
-        Canonicalizer canon(limits);
-        const TermRef zero = Term::constant(Rational(0));
-        for (std::size_t i = 0; i < rhs.size(); ++i) {
-            const TermRef& expected = i < lhs.size() ? lhs[i] : zero;
-            if (!(canon.canonical(expected) == canon.canonical(rhs[i]))) {
-                return Verdict::kNotEquivalent;
-            }
+    Fingerprinter fingerprints;
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+        const std::uint64_t expected =
+            i < lhs.size() ? fingerprints.of(lhs[i]) : 0;
+        if (expected != fingerprints.of(rhs[i])) {
+            return Verdict::kNotEquivalent;
         }
-        return Verdict::kEquivalent;
-    } catch (const RationalOverflow&) {
-        return Verdict::kUnknown;
-    } catch (const ValidationOverflow&) {
-        return Verdict::kUnknown;
     }
+    return Verdict::kEquivalent;
 }
 
 // ---------------------------------------------------------------------------

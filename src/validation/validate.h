@@ -3,23 +3,27 @@
  * Translation validation (paper §3.4).
  *
  * The original Diospyros discharges spec ≡ optimized with Rosette/SMT over
- * *real* arithmetic. This module decides the same theory fragment exactly,
- * without a solver: both programs are devectorized to per-output scalar
- * terms and canonicalized as multivariate polynomials over exact rationals
- * (atoms = Get/Symbol leaves plus opaque wrappers for div, sqrt, sgn,
- * recip, and user calls, keyed by the canonical form of their arguments).
- * Two terms are equivalent over the reals modulo AC of +/× and
- * distribution — exactly the equalities Diospyros's rewrite rules can
- * introduce — iff their canonical polynomials are equal.
+ * *real* arithmetic. This module decides the same question without a
+ * solver, by Schwartz–Zippel fingerprinting: both programs are
+ * devectorized to per-output scalar terms, and every term is evaluated in
+ * the prime field GF(p), p = 2^61 - 1, at one fixed pseudo-random point
+ * (each Get/Symbol leaf is a seeded hash of its name). + - × are field
+ * operations and / and recip use the field inverse, so two terms that
+ * agree as rational functions — everything AC, distribution, MAC fusion
+ * and padding can introduce — always get equal fingerprints. sqrt, sgn
+ * and user calls are opaque: a seeded hash of their argument
+ * fingerprints (sqrt/sgn of a constant fold exactly).
  *
- * If exact canonicalization overflows (rational coefficients or monomial
- * counts), the result is kUnknown and callers fall back to the randomized
- * differential tester below — the verdict is never silently wrong.
+ * The check is one linear pass over each term DAG, never overflows and
+ * never gives up. A kEquivalent verdict is wrong with probability at most
+ * deg/p (about deg * 4e-19) over the choice of point; DESIGN.md §5 states
+ * the bound and the model.
  */
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/term.h"
@@ -30,7 +34,7 @@ namespace diospyros {
 enum class Verdict {
     kEquivalent,
     kNotEquivalent,
-    kUnknown,  ///< exact canonicalization exceeded resource caps
+    kUnknown,  ///< not decided (e.g. machine code with control flow)
 };
 
 const char* verdict_name(Verdict v);
@@ -41,23 +45,40 @@ const char* verdict_name(Verdict v);
  */
 std::vector<TermRef> devectorize(const TermRef& term);
 
-/** Resource caps for exact canonicalization. */
-struct ValidationLimits {
-    /** Maximum monomials in any intermediate polynomial. */
-    std::size_t max_monomials = 100'000;
+/**
+ * Memoized GF(2^61 - 1) evaluation of scalar terms at one fixed point.
+ * Each distinct subterm is evaluated once, so one instance shared across
+ * many queries (e.g. every output of a program) costs time linear in
+ * the combined DAG size. Terms are memoized by address and must outlive
+ * the Fingerprinter.
+ */
+class Fingerprinter {
+  public:
+    /** The term's value in GF(p); throws UserError on vector operators. */
+    std::uint64_t of(const TermRef& t);
+
+  private:
+    struct Value {
+        std::uint64_t fp = 0;
+        /** Exact value, when `t` is built from constants alone. */
+        std::optional<Rational> exact;
+    };
+
+    const Value& eval(const TermRef& t);
+    Value compute(const TermRef& t);
+
+    std::unordered_map<const Term*, Value> memo_;
 };
 
 /**
- * Exact equivalence of two programs in the vector DSL. Both are
- * devectorized; `optimized` may be longer than `spec` (zero padding): the
- * extra positions must canonicalize to zero.
+ * Equivalence of two programs in the vector DSL. Both are devectorized;
+ * `optimized` may be longer than `spec` (zero padding): the extra
+ * positions must fingerprint to zero.
  */
-Verdict validate_translation(const TermRef& spec, const TermRef& optimized,
-                             const ValidationLimits& limits = {});
+Verdict validate_translation(const TermRef& spec, const TermRef& optimized);
 
-/** Exact equivalence of two scalar terms. */
-Verdict scalar_equivalent(const TermRef& a, const TermRef& b,
-                          const ValidationLimits& limits = {});
+/** Equivalence of two scalar terms. */
+Verdict scalar_equivalent(const TermRef& a, const TermRef& b);
 
 /**
  * Randomized differential testing: evaluates both programs on `trials`

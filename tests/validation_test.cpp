@@ -1,5 +1,5 @@
-// Tests for translation validation: devectorization, canonical-polynomial
-// equivalence, overflow fallback, and the randomized differential tester.
+// Tests for translation validation: devectorization, GF(p) fingerprint
+// equivalence, and the randomized differential tester.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +58,7 @@ TEST(ScalarEquivalence, HandlesOpaqueOperators)
     auto eq = [](const char* a, const char* b) {
         return scalar_equivalent(Term::parse(a), Term::parse(b));
     };
-    // sqrt/div/sgn are opaque but keyed by canonicalized arguments.
+    // sqrt/sgn are opaque but keyed by argument fingerprints.
     EXPECT_EQ(eq("(sqrt (+ (Get a 0) (Get a 1)))",
                  "(sqrt (+ (Get a 1) (Get a 0)))"),
               Verdict::kEquivalent);
@@ -129,20 +129,52 @@ TEST(TranslationValidation, TooShortIsRejected)
               Verdict::kNotEquivalent);
 }
 
-TEST(TranslationValidation, OverflowFallsBackToUnknown)
+TEST(ScalarEquivalence, DecidesHighDegreeTerms)
 {
-    // (a0+a1+a2+a3)^16 expands far past a tiny monomial cap.
-    TermRef sum = t_get("x", 0);
-    for (int i = 1; i < 4; ++i) {
-        sum = t_add(sum, t_get("x", i));
-    }
-    TermRef pow = sum;
-    for (int i = 0; i < 4; ++i) {
-        pow = t_mul(pow, pow);
-    }
-    ValidationLimits limits;
-    limits.max_monomials = 50;
-    EXPECT_EQ(scalar_equivalent(pow, pow, limits), Verdict::kUnknown);
+    // (x0+x1+x2+x3)^16 has 969 monomials when expanded; fingerprinting
+    // evaluates it without expanding, so both verdicts are decided.
+    auto power16 = [](const char* last) {
+        TermRef sum = t_get("x", 0);
+        for (int i = 1; i < 3; ++i) {
+            sum = t_add(sum, t_get("x", i));
+        }
+        sum = t_add(sum, t_get(last, 3));
+        TermRef pow = sum;
+        for (int i = 0; i < 4; ++i) {
+            pow = t_mul(pow, pow);
+        }
+        return pow;
+    };
+    const TermRef pow = power16("x");
+    EXPECT_EQ(scalar_equivalent(pow, pow), Verdict::kEquivalent);
+    EXPECT_EQ(scalar_equivalent(pow, power16("y")),
+              Verdict::kNotEquivalent);
+}
+
+TEST(ScalarEquivalence, DecidesRationalFunctionIdentities)
+{
+    auto eq = [](const char* a, const char* b) {
+        return scalar_equivalent(Term::parse(a), Term::parse(b));
+    };
+    EXPECT_EQ(eq("(/ (* (Get a 0) (Get b 0)) (Get b 0))", "(Get a 0)"),
+              Verdict::kEquivalent);
+    EXPECT_EQ(eq("(/ (Get a 0) (Get b 0))", "(/ (Get b 0) (Get a 0))"),
+              Verdict::kNotEquivalent);
+}
+
+TEST(ScalarEquivalence, AgreesOnDivisionByIdenticallyZero)
+{
+    // Both sides divide by b - b; the shared division-by-zero atom keeps
+    // them equal, and a different numerator still differs.
+    auto eq = [](const char* a, const char* b) {
+        return scalar_equivalent(Term::parse(a), Term::parse(b));
+    };
+    EXPECT_EQ(eq("(/ (Get a 0) (- (Get b 0) (Get b 0)))",
+                 "(/ (Get a 0) (- (Get b 1) (Get b 1)))"),
+              Verdict::kEquivalent);
+    EXPECT_EQ(eq("(/ (Get a 0) (- (Get b 0) (Get b 0)))",
+                 "(/ (Get a 1) (- (Get b 0) (Get b 0)))"),
+              Verdict::kNotEquivalent);
 }
 
 TEST(RandomCheck, AcceptsEquivalentAndRejectsDifferent)

@@ -4,7 +4,9 @@
 //       byte-identical machine code and constant pools;
 //  (ii) the simulated compiled kernel agrees with the scalar reference
 //       interpreter on concrete inputs;
-// (iii) each width gets its own cache key, so a multi-width service can
+// (iii) translation validation proves the extracted program and the
+//       scheduled machine code equivalent to the spec;
+//  (iv) each width gets its own cache key, so a multi-width service can
 //       never serve 4-wide code to a 16-wide client.
 
 #include <gtest/gtest.h>
@@ -28,12 +30,11 @@ sweep_options(int width)
 {
     CompilerOptions options;
     options.target = TargetSpec::for_width(width);
-    // Tight budgets keep 21 kernels x 4 widths x 2 compiles tractable;
-    // integration_test runs the heavyweight proof phases at the default
-    // width, so this sweep focuses on determinism and output agreement.
+    // Tight budgets keep 21 kernels x 4 widths x 2 compiles tractable.
     options.limits = RunnerLimits{.node_limit = 60'000,
                                   .iter_limit = 6,
                                   .time_limit_seconds = 8.0};
+    options.validate = true;
     return options;
 }
 
@@ -53,6 +54,10 @@ TEST_P(WidthSweep, CorpusIsDeterministicAndAgreesWithReference)
                   disassemble(b.machine, width))
             << "extraction must be deterministic per width";
         EXPECT_EQ(a.layout.pool(), b.layout.pool());
+        EXPECT_EQ(a.report.validation, Verdict::kEquivalent);
+        EXPECT_TRUE(a.report.machine_validated);
+        EXPECT_EQ(a.report.machine_validation, Verdict::kEquivalent)
+            << a.report.machine_witness;
 
         const scalar::BufferMap inputs =
             kernels::make_inputs(inst.kernel, 11);

@@ -31,7 +31,7 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs"
 echo "check.sh: all tests passed under ASan+UBSan"
 
 # Rule soundness: every registered rewrite must prove equivalent under
-# the exact validator (non-zero exit on any unsound rule).
+# the fingerprint validator (non-zero exit on any unsound rule).
 "$build/tools/dioscc" --lint-rules > /dev/null
 echo "check.sh: rule soundness lint passed"
 

@@ -20,7 +20,7 @@
  *   --no-vector     disable vector rewrite rules (§5.6 ablation)
  *   --ac            enable full associativity/commutativity (§3.3)
  *   --recip         target has a fast reciprocal (§6 extension)
- *   --validate      run exact translation validation
+ *   --validate      run translation validation
  *   --verify-ir     run the static-analysis gates (e-graph audit + VIR
  *                   verifier) inside the compile; always on in debug and
  *                   sanitizer builds
@@ -36,7 +36,7 @@
  *                   symbolic validation. With --json the verdict lands in
  *                   "machine_validation" / "machine_witness"
  *   --lint-rules    lint every registered rewrite rule for soundness
- *                   against the exact validator and exit (no kernel
+ *                   against the fingerprint validator and exit (no kernel
  *                   required); non-zero exit if any rule is unsound
  *   --strategy S    saturation strategy: a built-in name ("default",
  *                   "phased") or a strategy file in the s-expression DSL
@@ -907,8 +907,6 @@ run_lint_rules(const CliOptions& cli)
             status = "UNSOUND";
         } else if (!r.exercised) {
             status = "unexercised";
-        } else if (r.random_checked) {
-            status = "sound (random)";
         }
         std::printf("%-20s %s%s%s\n", r.rule.c_str(), status,
                     r.detail.empty() ? "" : ": ", r.detail.c_str());
