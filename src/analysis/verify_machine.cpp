@@ -1163,7 +1163,8 @@ validate_machine_translation(const TermRef& padded_spec,
                              const std::vector<vir::OutputSlot>& slots,
                              const Program& program,
                              const vir::CompiledLayout& layout,
-                             const TargetSpec& target)
+                             const TargetSpec& target,
+                             const Deadline& deadline)
 {
     MachineValidation result;
 
@@ -1232,6 +1233,7 @@ validate_machine_translation(const TermRef& padded_spec,
             return result;
         }
         for (std::int64_t j = 0; j < slot.padded_len; ++j) {
+            deadline.check("machine validation");
             if (cursor + static_cast<std::size_t>(j) >=
                 padded_spec->arity()) {
                 result.detail = "padded spec shorter than output slots";

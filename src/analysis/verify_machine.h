@@ -110,11 +110,13 @@ struct MachineValidation {
  * environment reproduces degrades to kUnknown, so float-rounded
  * constants can never produce a false alarm. Programs with control flow
  * or register-relative addressing yield kUnknown with a detail message.
+ * `deadline` is checked once per output element; expiry raises
+ * DeadlineExceeded.
  */
 MachineValidation validate_machine_translation(
     const TermRef& padded_spec, const std::vector<vir::OutputSlot>& slots,
     const Program& program, const vir::CompiledLayout& layout,
-    const TargetSpec& target);
+    const TargetSpec& target, const Deadline& deadline = {});
 
 /**
  * Debug-startup self-check (dioscc, mirroring --lint-rules): verifies a

@@ -89,7 +89,8 @@ verify_machine_or_throw(const vir::EmitTrace& trace, const Program& machine,
  */
 void
 emit_and_verify(CompiledKernel& out, const CompilerOptions& options,
-                const std::vector<vir::OutputSlot>& slots)
+                const std::vector<vir::OutputSlot>& slots,
+                const Deadline& deadline)
 {
     if (machine_gates_enabled(options)) {
         vir::EmitTrace trace;
@@ -108,7 +109,7 @@ emit_and_verify(CompiledKernel& out, const CompilerOptions& options,
         const analysis::MachineValidation mv =
             analysis::validate_machine_translation(
                 out.padded_spec, slots, out.machine, out.layout,
-                options.target);
+                options.target, deadline);
         out.report.machine_validated = true;
         out.report.machine_validation = mv.verdict;
         if (mv.witness) {
@@ -185,11 +186,17 @@ compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
         out.report.strategy_name = sr.strategy_name;
         out.report.strategy_phases = sr.phases;
         out.report.strategy_goal_satisfied = sr.goal_satisfied;
+        for (const strategy::PhaseReport& p : sr.phases) {
+            out.report.iterations.insert(out.report.iterations.end(),
+                                         p.runner.iterations.begin(),
+                                         p.runner.iterations.end());
+        }
     } else {
         Runner runner(options.limits);
         const RunnerReport rr = runner.run(graph, rules, deadline);
         out.report.stop_reason = rr.stop_reason;
         out.report.runner_iterations = rr.iterations.size();
+        out.report.iterations = rr.iterations;
         out.report.rule_stats = rr.rule_stats;
     }
     out.report.saturation_seconds = phase.elapsed_seconds();
@@ -240,15 +247,15 @@ compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
     }
     out.layout = vir::CompiledLayout::make(kernel, width);
     deadline.check("emission");
-    emit_and_verify(out, options, slots);
+    emit_and_verify(out, options, slots, deadline);
     out.c_source = vir::to_c_intrinsics(out.vprogram, kernel.name);
     out.report.backend_seconds = phase.elapsed_seconds();
 
-    // Phase 5 (optional): translation validation.
+    // Phase 5 (optional): translation validation, which checks the
+    // deadline per output element.
     if (options.validate) {
-        deadline.check("validation");
         out.report.validation =
-            validate_translation(out.padded_spec, out.extracted);
+            validate_translation(out.padded_spec, out.extracted, deadline);
     }
     if (options.random_check) {
         deadline.check("random-check");
@@ -313,7 +320,7 @@ compile_direct(const scalar::Kernel& kernel, CompilerOptions options)
                         diags.render_text());
     }
     out.layout = vir::CompiledLayout::make(kernel, width);
-    emit_and_verify(out, options, slots);
+    emit_and_verify(out, options, slots, Deadline{});  // deadline-exempt
     out.c_source = vir::to_c_intrinsics(out.vprogram, kernel.name);
     out.report.backend_seconds = phase.elapsed_seconds();
 

@@ -194,6 +194,13 @@ struct CompileReport {
     StopReason stop_reason = StopReason::kSaturated;
     std::size_t runner_iterations = 0;
     /**
+     * Per-iteration saturation stats (search/apply/rebuild seconds and
+     * sizes after each iteration) in run order; for strategy runs, the
+     * phases' iterations back to back. Timing data: cache entries do not
+     * store it, like the *_seconds fields.
+     */
+    std::vector<IterationStats> iterations;
+    /**
      * Per-rule e-matching totals across the saturation run (rule-set
      * order): matches found, applications that changed the graph, and
      * search/apply wall-clock. Surfaced via `dioscc --json`.

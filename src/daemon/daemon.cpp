@@ -107,12 +107,14 @@ Daemon::shutdown(service::DrainMode mode)
         return;
     }
     stopping_.store(true);
+    // The accept loop polls listen_fd_ with a 100 ms timeout and sees
+    // stopping_; close the socket only after it has exited.
+    if (accept_thread_.joinable()) {
+        accept_thread_.join();
+    }
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
-    }
-    if (accept_thread_.joinable()) {
-        accept_thread_.join();
     }
 
     // Drain: finish queued work, but never unboundedly — a watchdog

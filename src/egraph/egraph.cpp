@@ -2,33 +2,187 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "support/error.h"
 
 namespace diospyros {
 
+EGraph::NodeView
+EGraph::view_of(const ENode& n)
+{
+    return NodeView{n.op,    n.value,          n.symbol,
+                    n.index, n.children.data(), n.children.size()};
+}
+
+EGraph::NodeView
+EGraph::view_of(NodeKeyId k) const
+{
+    const NodeKey& key = keys_[k];
+    return NodeView{key.op,    key.value, key.symbol,
+                    key.index, key_kids_.data() + key.kids, key.arity};
+}
+
+bool
+EGraph::same_node(const NodeView& a, const NodeView& b)
+{
+    return a.op == b.op && a.arity == b.arity && a.index == b.index &&
+           a.symbol == b.symbol && a.value == b.value &&
+           std::equal(a.kids, a.kids + a.arity, b.kids);
+}
+
+NodeKeyId
+EGraph::push_key(const NodeView& n, std::size_t h)
+{
+    DIOS_ASSERT(keys_.size() < kDeadSlot &&
+                    key_kids_.size() + n.arity <= 0xffffffffu,
+                "e-node key arena exhausted");
+    const auto offset = static_cast<std::uint32_t>(key_kids_.size());
+    key_kids_.insert(key_kids_.end(), n.kids, n.kids + n.arity);
+    keys_.push_back(NodeKey{h, n.value, n.index, n.symbol, n.op,
+                            static_cast<std::uint32_t>(n.arity), offset});
+    return static_cast<NodeKeyId>(keys_.size() - 1);
+}
+
+NodeKeyId
+EGraph::canonical_key(NodeKeyId k)
+{
+    const NodeView key = view_of(k);
+    scratch_kids_.clear();
+    bool changed = false;
+    for (std::size_t i = 0; i < key.arity; ++i) {
+        scratch_kids_.push_back(uf_.find(key.kids[i]));
+        changed |= scratch_kids_.back() != key.kids[i];
+    }
+    if (!changed) {
+        return k;
+    }
+    const NodeView canonical{key.op,    key.value,           key.symbol,
+                             key.index, scratch_kids_.data(), key.arity};
+    return push_key(canonical,
+                    enode_hash(key.op, key.value, key.symbol, key.index,
+                               scratch_kids_.data(), key.arity));
+}
+
+const EGraph::Slot*
+EGraph::memo_find(const NodeView& n, std::size_t h) const
+{
+    if (memo_.empty()) {
+        return nullptr;
+    }
+    const std::size_t mask = memo_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const Slot& slot = memo_[i];
+        if (slot.key == kEmptySlot) {
+            return nullptr;
+        }
+        if (slot.key != kDeadSlot && keys_[slot.key].hash == h &&
+            same_node(view_of(slot.key), n)) {
+            return &slot;
+        }
+    }
+}
+
+void
+EGraph::memo_grow()
+{
+    // Double when live entries fill half the table; otherwise just
+    // rehash in place to sweep out tombstones.
+    const std::size_t capacity =
+        std::max<std::size_t>(64, memo_live_ * 2 >= memo_.size()
+                                      ? memo_.size() * 2
+                                      : memo_.size());
+    std::vector<Slot> old(capacity, Slot{kEmptySlot, 0});
+    old.swap(memo_);
+    memo_used_ = memo_live_;
+    const std::size_t mask = capacity - 1;
+    for (const Slot& slot : old) {
+        if (slot.key == kEmptySlot || slot.key == kDeadSlot) {
+            continue;
+        }
+        std::size_t i = keys_[slot.key].hash & mask;
+        while (memo_[i].key != kEmptySlot) {
+            i = (i + 1) & mask;
+        }
+        memo_[i] = slot;
+    }
+}
+
+void
+EGraph::memo_insert(NodeKeyId k, ClassId cls)
+{
+    if ((memo_used_ + 1) * 4 > memo_.size() * 3) {
+        memo_grow();
+    }
+    const std::size_t mask = memo_.size() - 1;
+    std::size_t i = keys_[k].hash & mask;
+    while (memo_[i].key != kEmptySlot && memo_[i].key != kDeadSlot) {
+        i = (i + 1) & mask;
+    }
+    memo_used_ += memo_[i].key == kEmptySlot ? 1 : 0;
+    ++memo_live_;
+    memo_[i] = Slot{k, cls};
+}
+
+void
+EGraph::memo_erase(NodeKeyId k)
+{
+    if (Slot* slot = memo_find(view_of(k), keys_[k].hash)) {
+        slot->key = kDeadSlot;
+        --memo_live_;
+    }
+}
+
 ClassId
 EGraph::add(ENode node)
 {
     node.canonicalize(uf_);
-    auto it = memo_.find(node);
-    if (it != memo_.end()) {
-        return uf_.find(it->second);
+    const NodeView view = view_of(node);
+    const std::size_t h = enode_hash(view.op, view.value, view.symbol,
+                                     view.index, view.kids, view.arity);
+    if (const Slot* slot = memo_find(view, h)) {
+        return uf_.find(slot->cls);
     }
+    return add_new(std::move(node), h);
+}
+
+ClassId
+EGraph::add_op(Op op, std::span<const ClassId> children)
+{
+    scratch_kids_.clear();
+    for (const ClassId c : children) {
+        scratch_kids_.push_back(uf_.find(c));
+    }
+    static const Rational kNoValue;
+    const NodeView view{op, kNoValue, Symbol(), 0, scratch_kids_.data(),
+                        scratch_kids_.size()};
+    const std::size_t h =
+        enode_hash(op, kNoValue, Symbol(), 0, scratch_kids_.data(),
+                   scratch_kids_.size());
+    if (const Slot* slot = memo_find(view, h)) {
+        return uf_.find(slot->cls);
+    }
+    return add_new(ENode::make(op, scratch_kids_), h);
+}
+
+ClassId
+EGraph::add_new(ENode node, std::size_t h)
+{
     const ClassId id = uf_.make_set();
     EClass cls;
     if (fold_constants_) {
         cls.constant = fold_node(node);
     }
+    const NodeKeyId key = push_key(view_of(node), h);
     for (const ClassId child : node.children) {
-        classes_.at(child).parents.emplace_back(node, id);
+        classes_[child].parents.emplace_back(key, id);
     }
     const Op op = node.op;
-    cls.nodes.push_back(node);
-    memo_.emplace(std::move(node), id);
-    classes_.emplace(id, std::move(cls));
-    creation_order_.push_back(id);
+    cls.nodes.push_back(std::move(node));
+    memo_insert(key, id);
+    classes_.push_back(std::move(cls));
+    ++num_nodes_;
+    ++num_classes_;
     index_op(op, id);
     modify(id);
     return uf_.find(id);
@@ -104,8 +258,8 @@ EGraph::merge(ClassId a, ClassId b)
 
     // Join analysis data and splice the absorbed class into the root.
     {
-        EClass& rc = classes_.at(root);
-        EClass& ac = classes_.at(absorbed);
+        EClass& rc = classes_[root];
+        EClass& ac = classes_[absorbed];
         if (!rc.constant.has_value()) {
             rc.constant = ac.constant;
         } else if (ac.constant.has_value()) {
@@ -118,8 +272,9 @@ EGraph::merge(ClassId a, ClassId b)
         rc.parents.insert(rc.parents.end(),
                           std::make_move_iterator(ac.parents.begin()),
                           std::make_move_iterator(ac.parents.end()));
+        ac = EClass{};  // the absorbed slot is dead from here on
     }
-    classes_.erase(absorbed);
+    --num_classes_;
     dirty_.push_back(root);
     modify(root);
     return true;
@@ -132,10 +287,11 @@ EGraph::rebuild()
         std::vector<ClassId> todo;
         todo.swap(dirty_);
         // Dedup on canonical representatives.
-        std::unordered_set<ClassId> seen;
+        const std::uint32_t epoch = next_epoch();
         for (const ClassId raw : todo) {
             const ClassId id = uf_.find(raw);
-            if (seen.insert(id).second) {
+            if (seen_[id] != epoch) {
+                seen_[id] = epoch;
                 repair(id);
             }
         }
@@ -146,42 +302,70 @@ void
 EGraph::repair(ClassId id)
 {
     id = uf_.find(id);
-    auto parents_it = classes_.find(id);
-    if (parents_it == classes_.end()) {
-        // The class was absorbed by a merge triggered from an earlier
-        // repair in this round; its new root is (or will be) repaired.
-        return;
-    }
-    std::vector<std::pair<ENode, ClassId>> parents =
-        std::move(parents_it->second.parents);
-    parents_it->second.parents.clear();
+    std::vector<std::pair<NodeKeyId, ClassId>> parents =
+        std::move(classes_[id].parents);
+    classes_[id].parents.clear();
 
     // Remove stale (pre-merge) keys before re-inserting canonical ones.
-    for (const auto& [pnode, pclass] : parents) {
+    for (const auto& [pkey, pclass] : parents) {
         (void)pclass;
-        memo_.erase(pnode);
+        memo_erase(pkey);
     }
 
-    // Re-canonicalize; congruent duplicates collapse via merge().
-    std::unordered_map<ENode, ClassId, ENodeHash> new_parents;
-    for (auto& [pnode, pclass] : parents) {
-        pnode.canonicalize(uf_);
-        auto [it, inserted] = new_parents.try_emplace(pnode, pclass);
+    // Re-canonicalize; congruent duplicates collapse via merge(). The
+    // dedup map hashes a key exactly as ENodeHash hashes the node it
+    // snapshots, so it visits parents in the same order as a map keyed
+    // by full e-nodes would — which fixes merge directions, and through
+    // them node order inside classes.
+    struct KeyHash {
+        const EGraph* graph;
+        std::size_t
+        operator()(NodeKeyId k) const
+        {
+            return graph->keys_[k].hash;
+        }
+    };
+    struct KeyEq {
+        const EGraph* graph;
+        bool
+        operator()(NodeKeyId a, NodeKeyId b) const
+        {
+            return a == b ||
+                   same_node(graph->view_of(a), graph->view_of(b));
+        }
+    };
+    std::unordered_map<NodeKeyId, ClassId, KeyHash, KeyEq> new_parents(
+        0, KeyHash{this}, KeyEq{this});
+    for (const auto& [pkey, pclass] : parents) {
+        const NodeKeyId canonical = canonical_key(pkey);
+        auto [it, inserted] = new_parents.try_emplace(canonical, pclass);
         if (!inserted) {
+            if (canonical != pkey &&
+                canonical + 1 == static_cast<NodeKeyId>(keys_.size())) {
+                // Drop the duplicate snapshot canonical_key() just made.
+                key_kids_.resize(keys_.back().kids);
+                keys_.pop_back();
+            }
             merge(pclass, it->second);
         }
         it->second = uf_.find(it->second);
     }
 
-    for (auto& [pnode, pclass] : new_parents) {
+    for (const auto& [pkey, pclass] : new_parents) {
         const ClassId canonical_parent = uf_.find(pclass);
-        auto [it, inserted] = memo_.try_emplace(pnode, canonical_parent);
-        if (!inserted && uf_.find(it->second) != canonical_parent) {
-            merge(it->second, canonical_parent);
+        ClassId holder = canonical_parent;
+        if (const Slot* slot = memo_find(view_of(pkey), keys_[pkey].hash)) {
+            holder = slot->cls;
+            if (uf_.find(holder) != canonical_parent) {
+                merge(holder, canonical_parent);
+            }
+            // merge() may have grown the table: probe again.
+            memo_find(view_of(pkey), keys_[pkey].hash)->cls =
+                uf_.find(holder);
+        } else {
+            memo_insert(pkey, canonical_parent);
         }
-        it->second = uf_.find(it->second);
-        classes_.at(uf_.find(id))
-            .parents.emplace_back(pnode, uf_.find(pclass));
+        classes_[uf_.find(id)].parents.emplace_back(pkey, uf_.find(pclass));
     }
 }
 
@@ -189,11 +373,10 @@ std::optional<ClassId>
 EGraph::lookup(ENode node)
 {
     node.canonicalize(uf_);
-    auto it = memo_.find(node);
-    if (it == memo_.end()) {
-        return std::nullopt;
+    if (const Slot* slot = memo_find(view_of(node), ENodeHash{}(node))) {
+        return uf_.find(slot->cls);
     }
-    return uf_.find(it->second);
+    return std::nullopt;
 }
 
 std::optional<ClassId>
@@ -202,23 +385,34 @@ EGraph::lookup_const(ENode node) const
     for (ClassId& c : node.children) {
         c = uf_.find_const(c);
     }
-    auto it = memo_.find(node);
-    if (it == memo_.end()) {
-        return std::nullopt;
+    if (const Slot* slot = memo_find(view_of(node), ENodeHash{}(node))) {
+        return uf_.find_const(slot->cls);
     }
-    return uf_.find_const(it->second);
+    return std::nullopt;
+}
+
+std::uint32_t
+EGraph::next_epoch() const
+{
+    seen_.resize(uf_.size(), 0);
+    if (++epoch_ == 0) {  // wrapped: clear stale marks once
+        std::fill(seen_.begin(), seen_.end(), 0);
+        epoch_ = 1;
+    }
+    return epoch_;
 }
 
 std::vector<ClassId>
 EGraph::class_ids() const
 {
+    // A class's first id in creation order is its smallest member, so
+    // emitting each root at its smallest member lists classes in the
+    // order they were first created.
     std::vector<ClassId> out;
-    out.reserve(classes_.size());
-    std::unordered_set<ClassId> seen;
-    for (const ClassId raw : creation_order_) {
-        const ClassId id = uf_.find_const(raw);
-        if (classes_.count(id) && seen.insert(id).second) {
-            out.push_back(id);
+    out.reserve(num_classes_);
+    for (ClassId raw = 0; raw < uf_.size(); ++raw) {
+        if (uf_.min_member(raw) == raw) {
+            out.push_back(uf_.find_const(raw));
         }
     }
     return out;
@@ -236,12 +430,12 @@ EGraph::classes_with_op(Op op) const
     // Compact the journal: canonicalize, dedup, and sort by the class's
     // creation ordinal (its smallest member id) so candidates come back
     // in exactly the order a naive class_ids() scan visits them.
-    std::unordered_set<ClassId> seen;
-    seen.reserve(entry.size());
+    const std::uint32_t epoch = next_epoch();
     std::size_t keep = 0;
     for (const ClassId raw : entry) {
         const ClassId id = uf_.find_const(raw);
-        if (seen.insert(id).second) {
+        if (seen_[id] != epoch) {
+            seen_[id] = epoch;
             entry[keep++] = id;
         }
     }
@@ -253,26 +447,11 @@ EGraph::classes_with_op(Op op) const
     return entry;
 }
 
-std::size_t
-EGraph::num_nodes() const
-{
-    std::size_t total = 0;
-    for (const auto& [id, cls] : classes_) {
-        (void)id;
-        total += cls.nodes.size();
-    }
-    return total;
-}
-
 std::optional<Rational>
 EGraph::fold_node(const ENode& node) const
 {
     auto child_const = [&](std::size_t i) -> std::optional<Rational> {
-        auto it = classes_.find(uf_.find_const(node.children[i]));
-        if (it == classes_.end()) {
-            return std::nullopt;
-        }
-        return it->second.constant;
+        return classes_[uf_.find_const(node.children[i])].constant;
     };
     try {
         switch (node.op) {
@@ -335,20 +514,21 @@ EGraph::modify(ClassId id)
         return;
     }
     id = uf_.find(id);
-    EClass& cls = classes_.at(id);
+    EClass& cls = classes_[id];
     if (!cls.constant.has_value()) {
         return;
     }
     ENode cn = ENode::make_const(*cls.constant);
-    auto it = memo_.find(cn);
-    if (it != memo_.end()) {
-        if (uf_.find(it->second) != id) {
-            merge(it->second, id);
+    const std::size_t h = ENodeHash{}(cn);
+    if (const Slot* slot = memo_find(view_of(cn), h)) {
+        if (uf_.find(slot->cls) != id) {
+            merge(slot->cls, id);
         }
         return;
     }
-    memo_.emplace(cn, id);
+    memo_insert(push_key(view_of(cn), h), id);
     cls.nodes.push_back(std::move(cn));
+    ++num_nodes_;
     index_op(Op::kConst, id);
 }
 
@@ -358,19 +538,25 @@ EGraph::check_invariants() const
     DIOS_ASSERT(dirty_.empty(), "check_invariants() on a dirty e-graph");
     std::unordered_map<ENode, ClassId, ENodeHash> canonical_nodes;
     std::size_t total = 0;
-    for (const auto& [id, cls] : classes_) {
-        DIOS_ASSERT(uf_.find_const(id) == id,
-                    "classes_ key is not canonical");
+    std::size_t live = 0;
+    for (ClassId id = 0; id < classes_.size(); ++id) {
+        const EClass& cls = classes_[id];
+        if (uf_.find_const(id) != id) {
+            DIOS_ASSERT(cls.nodes.empty() && cls.parents.empty(),
+                        "absorbed class slot is not dead");
+            continue;
+        }
+        ++live;
         for (const ENode& raw : cls.nodes) {
             ENode node = raw;
             for (ClassId& c : node.children) {
                 c = uf_.find_const(c);
             }
-            auto memo_it = memo_.find(node);
-            DIOS_ASSERT(memo_it != memo_.end(),
+            const Slot* slot = memo_find(view_of(node), ENodeHash{}(node));
+            DIOS_ASSERT(slot != nullptr,
                         "canonical e-node missing from hashcons: " +
                             node.to_string());
-            DIOS_ASSERT(uf_.find_const(memo_it->second) == id,
+            DIOS_ASSERT(uf_.find_const(slot->cls) == id,
                         "hashcons points to the wrong class for " +
                             node.to_string());
             auto [it, inserted] = canonical_nodes.try_emplace(node, id);
@@ -382,17 +568,37 @@ EGraph::check_invariants() const
             ++total;
         }
     }
-    (void)total;
-    for (const auto& [node, id] : memo_) {
-        ENode canonical = node;
-        for (ClassId& c : canonical.children) {
-            c = uf_.find_const(c);
+    DIOS_ASSERT(total == num_nodes_, "node counter disagrees with recount");
+    DIOS_ASSERT(live == num_classes_,
+                "class counter disagrees with recount");
+    std::size_t live_slots = 0;
+    for (const Slot& slot : memo_) {
+        if (slot.key == kEmptySlot || slot.key == kDeadSlot) {
+            continue;
         }
-        DIOS_ASSERT(canonical == node || memo_.count(canonical),
+        ++live_slots;
+        const NodeView key = view_of(slot.key);
+        DIOS_ASSERT(keys_[slot.key].hash ==
+                        enode_hash(key.op, key.value, key.symbol, key.index,
+                                   key.kids, key.arity),
+                    "hashcons key with a stale hash");
+        ENode canonical;
+        canonical.op = key.op;
+        canonical.value = key.value;
+        canonical.symbol = key.symbol;
+        canonical.index = key.index;
+        for (std::size_t i = 0; i < key.arity; ++i) {
+            canonical.children.push_back(uf_.find_const(key.kids[i]));
+        }
+        DIOS_ASSERT(same_node(view_of(canonical), key) ||
+                        memo_find(view_of(canonical),
+                                  ENodeHash{}(canonical)) != nullptr,
                     "stale hashcons entry without canonical counterpart");
-        DIOS_ASSERT(classes_.count(uf_.find_const(id)),
+        DIOS_ASSERT(slot.cls < classes_.size(),
                     "hashcons refers to an absent class");
     }
+    DIOS_ASSERT(live_slots == memo_live_,
+                "hashcons live count disagrees with recount");
 }
 
 std::string

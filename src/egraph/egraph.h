@@ -15,9 +15,11 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "egraph/enode.h"
@@ -26,13 +28,23 @@
 
 namespace diospyros {
 
+/**
+ * Index of an immutable e-node key snapshot in the e-graph's key arena:
+ * the form in which the hashcons and the parent lists hold e-nodes.
+ */
+using NodeKeyId = std::uint32_t;
+
 /** An equivalence class of e-nodes. */
 class EClass {
   public:
-    /** E-nodes in this class (canonical after rebuild()). */
+    /**
+     * E-nodes in this class, in insertion order, as they were added: a
+     * child id may since have been absorbed, so read children through
+     * EGraph::find_const().
+     */
     std::vector<ENode> nodes;
-    /** Uses of this class: (parent node as added, parent class). */
-    std::vector<std::pair<ENode, ClassId>> parents;
+    /** Uses of this class: (parent key snapshot, parent class). */
+    std::vector<std::pair<NodeKeyId, ClassId>> parents;
     /** Constant-folding analysis: value if the class is a known constant. */
     std::optional<Rational> constant;
 };
@@ -59,10 +71,18 @@ class EGraph {
     {
         return add(ENode::make_get(array, index));
     }
+
+    /**
+     * Adds (op children...) with no payload. The node is canonicalized
+     * and looked up in place, so a node that already exists costs no
+     * allocation.
+     */
+    ClassId add_op(Op op, std::span<const ClassId> children);
     ClassId
-    add_op(Op op, std::vector<ClassId> children)
+    add_op(Op op, std::initializer_list<ClassId> children)
     {
-        return add(ENode::make(op, std::move(children)));
+        return add_op(op, std::span<const ClassId>(children.begin(),
+                                                   children.size()));
     }
 
     /**
@@ -95,10 +115,15 @@ class EGraph {
     const EClass&
     eclass(ClassId id) const
     {
-        auto it = classes_.find(uf_.find_const(id));
-        DIOS_ASSERT(it != classes_.end(), "no such e-class");
-        return it->second;
+        return classes_[uf_.find_const(id)];
     }
+
+    /**
+     * One past the largest class id handed out so far. Ids of absorbed
+     * classes stay below the bound (they find() to their root), so dense
+     * per-class tables indexed by ClassId are sized by this.
+     */
+    std::size_t id_bound() const { return uf_.size(); }
 
     /** All canonical class ids (stable order of creation). */
     std::vector<ClassId> class_ids() const;
@@ -118,11 +143,11 @@ class EGraph {
      */
     const std::vector<ClassId>& classes_with_op(Op op) const;
 
-    /** Total number of e-nodes across canonical classes. */
-    std::size_t num_nodes() const;
+    /** Total number of e-nodes across canonical classes. O(1). */
+    std::size_t num_nodes() const { return num_nodes_; }
 
-    /** Number of canonical e-classes. */
-    std::size_t num_classes() const { return classes_.size(); }
+    /** Number of canonical e-classes. O(1). */
+    std::size_t num_classes() const { return num_classes_; }
 
     /** Number of unions performed since construction. */
     std::size_t union_count() const { return union_count_; }
@@ -132,13 +157,20 @@ class EGraph {
      * "Memory" proxy, also used by the saturation runner's mid-iteration
      * memory watchdog (RunnerLimits::memory_limit_bytes). E-nodes
      * dominate; counts node + hashcons + class overhead per node, plus
-     * per-class bookkeeping.
+     * per-class bookkeeping. The per-node and per-class charges are
+     * pinned constants (the historical 64-byte e-node plus 96 bytes of
+     * hashcons and class overhead), not sizeof() of today's layout, so a
+     * leaner representation does not move the watchdog's trip points.
      */
     std::size_t
     memory_proxy_bytes() const
     {
-        return num_nodes() * (sizeof(ENode) + 96) + num_classes() * 160;
+        return num_nodes() * kProxyBytesPerNode +
+               num_classes() * kProxyBytesPerClass;
     }
+
+    static constexpr std::size_t kProxyBytesPerNode = 160;
+    static constexpr std::size_t kProxyBytesPerClass = 160;
 
     /** True when no merge is pending a rebuild. */
     bool is_clean() const { return dirty_.empty(); }
@@ -152,7 +184,8 @@ class EGraph {
 
     /**
      * Checks internal invariants (hashcons canonical and complete,
-     * congruence closed); for tests. Requires a clean graph.
+     * congruence closed, the O(1) node and class counters equal to a
+     * recount); for tests. Requires a clean graph.
      */
     void check_invariants() const;
 
@@ -167,13 +200,67 @@ class EGraph {
     std::string to_dot() const;
 
   private:
-    EClass&
-    eclass_mut(ClassId id)
+    /**
+     * An e-node as the hashcons keys it: operator, payload and a span of
+     * `key_kids_`. Keys are immutable snapshots — rebuild re-keys a
+     * parent by appending a canonical copy — so a parent list entry
+     * means exactly the node as it stood when the entry was written.
+     */
+    struct NodeKey {
+        std::size_t hash;
+        Rational value;
+        std::int64_t index;
+        Symbol symbol;
+        Op op;
+        std::uint32_t arity;
+        std::uint32_t kids;  ///< offset of the children in key_kids_
+    };
+
+    /** Borrowed view of an e-node's fields, for hashcons probes. */
+    struct NodeView {
+        Op op;
+        const Rational& value;
+        Symbol symbol;
+        std::int64_t index;
+        const ClassId* kids;
+        std::size_t arity;
+    };
+
+    /** One hashcons slot: a key snapshot and the class it maps to. */
+    struct Slot {
+        NodeKeyId key;
+        ClassId cls;
+    };
+    static constexpr NodeKeyId kEmptySlot = 0xffffffffu;
+    static constexpr NodeKeyId kDeadSlot = 0xfffffffeu;
+
+    static NodeView view_of(const ENode& n);
+    NodeView view_of(NodeKeyId k) const;
+    static bool same_node(const NodeView& a, const NodeView& b);
+
+    /** Appends a key snapshot of `n` (hash `h`) to the arena. */
+    NodeKeyId push_key(const NodeView& n, std::size_t h);
+    /**
+     * `k` with its children canonicalized: `k` itself when they already
+     * are, else a new snapshot at the end of the arena.
+     */
+    NodeKeyId canonical_key(NodeKeyId k);
+
+    /** Hashcons probe by content; nullptr when absent. */
+    const Slot* memo_find(const NodeView& n, std::size_t h) const;
+    Slot*
+    memo_find(const NodeView& n, std::size_t h)
     {
-        auto it = classes_.find(uf_.find(id));
-        DIOS_ASSERT(it != classes_.end(), "no such e-class");
-        return it->second;
+        return const_cast<Slot*>(std::as_const(*this).memo_find(n, h));
     }
+    /** Inserts `k` → `cls`; the content of `k` must be absent. */
+    void memo_insert(NodeKeyId k, ClassId cls);
+    /** Removes the entry whose key equals `k`'s content, if any. */
+    void memo_erase(NodeKeyId k);
+    void memo_grow();
+
+    /** add() after the probe missed: `node` is canonical with hash `h`. */
+    ClassId add_new(ENode node, std::size_t h);
 
     /** Re-canonicalizes the parents of a just-merged class. */
     void repair(ClassId id);
@@ -192,13 +279,42 @@ class EGraph {
         ++index_version_;
     }
 
+    /** Next mark epoch for a dedup pass over `seen_` (see seen_). */
+    std::uint32_t next_epoch() const;
+
     UnionFind uf_;
-    std::unordered_map<ENode, ClassId, ENodeHash> memo_;
-    std::unordered_map<ClassId, EClass> classes_;
+    /**
+     * The hashcons: open addressing with linear probing over a
+     * power-of-two table of (key, class) slots; erased slots become
+     * tombstones until the next growth.
+     */
+    std::vector<Slot> memo_;
+    std::size_t memo_live_ = 0;
+    std::size_t memo_used_ = 0;  ///< live + tombstones
+    std::vector<NodeKey> keys_;
+    std::vector<ClassId> key_kids_;
+    /** Canonicalized children being probed (add_op, canonical_key). */
+    std::vector<ClassId> scratch_kids_;
+    /**
+     * Dense class table indexed by ClassId. Only canonical ids (union-find
+     * roots) hold a live class; a merge empties the absorbed slot, which
+     * stays dead for good. Ids are handed out in creation order, so a
+     * scan of the table in id order is a scan in creation order.
+     */
+    std::vector<EClass> classes_;
     std::vector<ClassId> dirty_;
-    std::vector<ClassId> creation_order_;
+    std::size_t num_nodes_ = 0;
+    std::size_t num_classes_ = 0;
     std::size_t union_count_ = 0;
     bool fold_constants_;
+
+    /**
+     * Per-id dedup marks: an id is "seen" in the current pass when its
+     * slot equals the pass's epoch, so dedup passes (rebuild's worklist,
+     * op-index compaction) need no per-call hash set.
+     */
+    mutable std::vector<std::uint32_t> seen_;
+    mutable std::uint32_t epoch_ = 0;
 
     /**
      * Op → classes journal (see classes_with_op). Mutable: queries

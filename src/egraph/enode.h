@@ -122,17 +122,31 @@ struct ENode {
     }
 };
 
+/**
+ * Hash of an e-node given by its parts. The e-graph's flat hashcons
+ * hashes its key snapshots with this exact function, so its rebuild
+ * visits congruent parents in the same order as before the snapshots
+ * existed (see EGraph::repair).
+ */
+inline std::size_t
+enode_hash(Op op, const Rational& value, Symbol symbol, std::int64_t index,
+           const ClassId* kids, std::size_t arity)
+{
+    std::size_t seed = 0;
+    hash_combine(seed, static_cast<int>(op));
+    hash_combine(seed, value);
+    hash_combine(seed, symbol.id());
+    hash_combine(seed, index);
+    return hash_range(kids, kids + arity, seed);
+}
+
 /** Hash for hash-consing e-nodes. */
 struct ENodeHash {
     std::size_t
     operator()(const ENode& n) const
     {
-        std::size_t seed = 0;
-        hash_combine(seed, static_cast<int>(n.op));
-        hash_combine(seed, n.value);
-        hash_combine(seed, n.symbol.id());
-        hash_combine(seed, n.index);
-        return hash_range(n.children.begin(), n.children.end(), seed);
+        return enode_hash(n.op, n.value, n.symbol, n.index,
+                          n.children.data(), n.children.size());
     }
 };
 

@@ -11,9 +11,7 @@ Extractor::Extractor(const EGraph& graph, const CostModel& cost,
 {
     DIOS_ASSERT(graph.is_clean(), "extraction requires a rebuilt e-graph");
     const std::vector<ClassId> ids = graph.class_ids();
-    for (const ClassId id : ids) {
-        best_.emplace(id, Choice{});
-    }
+    best_.assign(graph.id_bound(), Choice{});
 
     // Bellman-Ford-style relaxation to a fixpoint. Each pass is linear in
     // the number of e-nodes; the pass count is bounded by the extraction
@@ -24,7 +22,7 @@ Extractor::Extractor(const EGraph& graph, const CostModel& cost,
         changed = false;
         for (const ClassId id : ids) {
             const EClass& cls = graph.eclass(id);
-            Choice& choice = best_.at(id);
+            Choice& choice = best_[id];
             for (std::size_t i = 0; i < cls.nodes.size(); ++i) {
                 const ENode& node = cls.nodes[i];
                 double total = cost.node_cost(graph, node);
@@ -32,7 +30,7 @@ Extractor::Extractor(const EGraph& graph, const CostModel& cost,
                             "cost model must be strictly monotonic");
                 bool realizable = true;
                 for (const ClassId child : node.children) {
-                    const Choice& cc = best_.at(graph.find_const(child));
+                    const Choice& cc = best_[graph.find_const(child)];
                     if (cc.node < 0) {
                         realizable = false;
                         break;
@@ -52,9 +50,9 @@ Extractor::Extractor(const EGraph& graph, const CostModel& cost,
 double
 Extractor::class_cost(ClassId id) const
 {
-    auto it = best_.find(graph_.find_const(id));
-    DIOS_ASSERT(it != best_.end(), "class_cost() for unknown class");
-    return it->second.cost;
+    id = graph_.find_const(id);
+    DIOS_ASSERT(id < best_.size(), "class_cost() for unknown class");
+    return best_[id].cost;
 }
 
 Extraction
@@ -62,20 +60,18 @@ Extractor::extract(ClassId id) const
 {
     DIOS_FAULT_POINT("extract.build");
     id = graph_.find_const(id);
-    auto it = best_.find(id);
-    DIOS_ASSERT(it != best_.end(), "extract() for unknown class");
-    DIOS_CHECK(it->second.node >= 0,
+    DIOS_ASSERT(id < best_.size(), "extract() for unknown class");
+    DIOS_CHECK(best_[id].node >= 0,
                "e-class has no realizable term (cyclic without leaves)");
-    std::unordered_map<ClassId, TermRef> memo;
+    std::vector<TermRef> memo(best_.size());
     Extraction result;
     result.term = build(id, memo);
-    result.cost = it->second.cost;
+    result.cost = best_[id].cost;
     return result;
 }
 
 TermRef
-Extractor::build(ClassId id,
-                 std::unordered_map<ClassId, TermRef>& memo) const
+Extractor::build(ClassId id, std::vector<TermRef>& memo) const
 {
     // Explicit worklist instead of recursion: the extracted term's depth
     // is bounded only by the e-graph (a chain of n adds extracts as a
@@ -91,11 +87,11 @@ Extractor::build(ClassId id,
     while (!stack.empty()) {
         Frame& frame = stack.back();
         const ClassId cur = frame.id;
-        if (memo.count(cur) != 0) {
+        if (memo[cur] != nullptr) {
             stack.pop_back();
             continue;
         }
-        const Choice& choice = best_.at(cur);
+        const Choice& choice = best_[cur];
         DIOS_ASSERT(choice.node >= 0, "building an unrealizable class");
         const ENode& node =
             graph_.eclass(cur).nodes[static_cast<std::size_t>(choice.node)];
@@ -106,7 +102,7 @@ Extractor::build(ClassId id,
             for (auto it = node.children.rbegin();
                  it != node.children.rend(); ++it) {
                 const ClassId child = graph_.find_const(*it);
-                if (memo.count(child) == 0) {
+                if (memo[child] == nullptr) {
                     stack.push_back(Frame{child, false});
                 }
             }
@@ -115,12 +111,12 @@ Extractor::build(ClassId id,
         std::vector<TermRef> kids;
         kids.reserve(node.children.size());
         for (const ClassId child : node.children) {
-            kids.push_back(memo.at(graph_.find_const(child)));
+            kids.push_back(memo[graph_.find_const(child)]);
         }
-        memo.emplace(cur, enode_to_term(node, kids));
+        memo[cur] = enode_to_term(node, kids);
         stack.pop_back();
     }
-    return memo.at(graph_.find_const(id));
+    return memo[graph_.find_const(id)];
 }
 
 }  // namespace diospyros

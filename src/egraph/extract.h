@@ -14,7 +14,6 @@
 
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "egraph/egraph.h"
@@ -78,11 +77,12 @@ class Extractor {
         int node = -1;
     };
 
-    TermRef build(ClassId id,
-                  std::unordered_map<ClassId, TermRef>& memo) const;
+    /** Builds the chosen term of `id`; memo is indexed by ClassId. */
+    TermRef build(ClassId id, std::vector<TermRef>& memo) const;
 
     const EGraph& graph_;
-    std::unordered_map<ClassId, Choice> best_;
+    /** Best choice per class, indexed by canonical ClassId. */
+    std::vector<Choice> best_;
 };
 
 }  // namespace diospyros

@@ -1,6 +1,9 @@
 #include "rules/rules.h"
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <span>
 
 #include "machine/target.h"
 #include "support/error.h"
@@ -23,6 +26,25 @@ class_constant(const EGraph& graph, ClassId id)
 }
 
 namespace {
+
+/** Lane buffer for one Vec node's worth of class ids. */
+using Lanes = std::array<ClassId, kMaxVectorWidth>;
+
+/**
+ * Node `n` of the class `root` an applier is rewriting. Appliers visit
+ * the nodes present when they start by position, without copying them:
+ * the adds and merges they make only append to root's node list, since
+ * root stays the representative of every merge(root, ...) and never has
+ * a constant to fold (it holds List or Vec nodes). A reference returned
+ * here is valid only until the next add or merge.
+ */
+const ENode&
+root_node(const EGraph& graph, ClassId root, std::size_t n)
+{
+    DIOS_ASSERT(graph.find_const(root) == root,
+                "applier root was absorbed mid-apply");
+    return graph.eclass(root).nodes[n];
+}
 
 bool
 is_zero_class(const EGraph& graph, ClassId id)
@@ -60,28 +82,27 @@ class ListChunkApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
-        // Copy the List nodes first: merging mutates the class.
-        std::vector<ENode> lists;
-        for (const ENode& n : graph.eclass(root).nodes) {
-            if (n.op == Op::kList) {
-                lists.push_back(n);
-            }
-        }
+        const std::size_t count = graph.eclass(root).nodes.size();
+        const auto width = static_cast<std::size_t>(width_);
         bool changed = false;
-        for (const ENode& list : lists) {
+        std::vector<ClassId> items;
+        Lanes lanes;
+        for (std::size_t n = 0; n < count; ++n) {
+            const ENode& list = root_node(graph, root, n);
+            if (list.op != Op::kList) {
+                continue;
+            }
+            items.assign(list.children.begin(), list.children.end());
             const ClassId zero = graph.add_const(Rational(0));
             // Build right-nested Concats of width-sized Vec chunks.
             std::vector<ClassId> chunks;
-            for (std::size_t i = 0; i < list.children.size();
-                 i += static_cast<std::size_t>(width_)) {
-                std::vector<ClassId> lanes;
-                for (int l = 0; l < width_; ++l) {
-                    const std::size_t j = i + static_cast<std::size_t>(l);
-                    lanes.push_back(j < list.children.size()
-                                        ? graph.find(list.children[j])
-                                        : zero);
+            for (std::size_t i = 0; i < items.size(); i += width) {
+                for (std::size_t l = 0; l < width; ++l) {
+                    lanes[l] = i + l < items.size() ? graph.find(items[i + l])
+                                                    : zero;
                 }
-                chunks.push_back(graph.add_op(Op::kVec, std::move(lanes)));
+                chunks.push_back(graph.add_op(
+                    Op::kVec, std::span<const ClassId>(lanes.data(), width)));
             }
             ClassId result = chunks.back();
             for (std::size_t i = chunks.size() - 1; i-- > 0;) {
@@ -189,27 +210,27 @@ class VecBinaryLiftApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
-        std::vector<ENode> vecs;
-        for (const ENode& n : graph.eclass(root).nodes) {
-            if (n.op == Op::kVec && static_cast<int>(n.children.size()) ==
-                                        searcher_.width()) {
-                vecs.push_back(n);
-            }
-        }
+        const std::size_t count = graph.eclass(root).nodes.size();
+        const auto width = static_cast<std::size_t>(searcher_.width());
         bool changed = false;
-        for (const ENode& vec : vecs) {
-            std::vector<ClassId> as, bs;
+        Lanes as;
+        Lanes bs;
+        for (std::size_t n = 0; n < count; ++n) {
+            const ENode& vec = root_node(graph, root, n);
+            if (vec.op != Op::kVec || vec.children.size() != width) {
+                continue;
+            }
             bool all_ok = true;
             int real = 0;
-            for (const ClassId lane : vec.children) {
-                const auto m = searcher_.match_lane(graph, lane);
+            for (std::size_t l = 0; l < width; ++l) {
+                const auto m = searcher_.match_lane(graph, vec.children[l]);
                 if (!m) {
                     all_ok = false;
                     break;
                 }
                 real += m->real_op ? 1 : 0;
-                as.push_back(m->a);
-                bs.push_back(m->b);
+                as[l] = m->a;
+                bs[l] = m->b;
             }
             if (!all_ok || real < 1) {
                 continue;
@@ -221,7 +242,7 @@ class VecBinaryLiftApplier : public Applier {
                                    searcher_.scalar_op() == Op::kDiv;
             const ClassId pad =
                 needs_one ? graph.add_const(Rational(1)) : zero;
-            for (std::size_t i = 0; i < as.size(); ++i) {
+            for (std::size_t i = 0; i < width; ++i) {
                 if (as[i] == VecBinaryLiftSearcher::kZeroMarker) {
                     as[i] = zero;
                 }
@@ -229,8 +250,10 @@ class VecBinaryLiftApplier : public Applier {
                     bs[i] = pad;
                 }
             }
-            const ClassId va = graph.add_op(Op::kVec, std::move(as));
-            const ClassId vb = graph.add_op(Op::kVec, std::move(bs));
+            const ClassId va = graph.add_op(
+                Op::kVec, std::span<const ClassId>(as.data(), width));
+            const ClassId vb = graph.add_op(
+                Op::kVec, std::span<const ClassId>(bs.data(), width));
             const ClassId result = graph.add_op(vector_op_, {va, vb});
             changed |= graph.merge(root, result);
         }
@@ -322,28 +345,31 @@ class VecUnaryLiftApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
-        std::vector<ENode> vecs;
-        for (const ENode& n : graph.eclass(root).nodes) {
-            if (n.op == Op::kVec && static_cast<int>(n.children.size()) ==
-                                        searcher_.width()) {
-                vecs.push_back(n);
-            }
-        }
+        const std::size_t count = graph.eclass(root).nodes.size();
+        const auto width = static_cast<std::size_t>(searcher_.width());
         bool changed = false;
-        for (const ENode& vec : vecs) {
-            std::vector<ClassId> xs;
+        Lanes lanes;
+        Lanes xs;
+        for (std::size_t n = 0; n < count; ++n) {
+            const ENode& vec = root_node(graph, root, n);
+            if (vec.op != Op::kVec || vec.children.size() != width) {
+                continue;
+            }
+            // Zero lanes add a constant mid-loop: copy the lanes first.
+            std::copy(vec.children.begin(), vec.children.end(),
+                      lanes.begin());
             bool all_ok = true;
             int real = 0;
-            for (const ClassId lane : vec.children) {
+            for (std::size_t l = 0; l < width; ++l) {
                 bool lane_real = false;
-                const auto m = searcher_.match_lane(graph, lane,
+                const auto m = searcher_.match_lane(graph, lanes[l],
                                                     &lane_real);
                 if (m) {
-                    xs.push_back(*m);
+                    xs[l] = *m;
                     real += lane_real ? 1 : 0;
                 } else if (searcher_.zero_ok() &&
-                           is_zero_class(graph, lane)) {
-                    xs.push_back(graph.add_const(Rational(0)));
+                           is_zero_class(graph, lanes[l])) {
+                    xs[l] = graph.add_const(Rational(0));
                 } else {
                     all_ok = false;
                     break;
@@ -352,7 +378,8 @@ class VecUnaryLiftApplier : public Applier {
             if (!all_ok || real < 1) {
                 continue;
             }
-            const ClassId vx = graph.add_op(Op::kVec, std::move(xs));
+            const ClassId vx = graph.add_op(
+                Op::kVec, std::span<const ClassId>(xs.data(), width));
             const ClassId result = graph.add_op(vector_op_, {vx});
             changed |= graph.merge(root, result);
         }
@@ -465,41 +492,41 @@ class VecMacApplier : public Applier {
     apply(EGraph& graph, const RuleMatch& match) const override
     {
         const ClassId root = graph.find(match.root);
-        std::vector<ENode> vecs;
-        for (const ENode& n : graph.eclass(root).nodes) {
-            if (n.op == Op::kVec && static_cast<int>(n.children.size()) ==
-                                        searcher_.width()) {
-                vecs.push_back(n);
-            }
-        }
+        const std::size_t count = graph.eclass(root).nodes.size();
+        const auto width = static_cast<std::size_t>(searcher_.width());
         bool changed = false;
-        for (const ENode& vec : vecs) {
-            std::vector<ClassId> accs, bs, cs;
+        Lanes accs;
+        Lanes bs;
+        Lanes cs;
+        for (std::size_t n = 0; n < count; ++n) {
+            const ENode& vec = root_node(graph, root, n);
+            if (vec.op != Op::kVec || vec.children.size() != width) {
+                continue;
+            }
             int real = 0;
-            for (const ClassId lane : vec.children) {
-                const auto m = searcher_.match_lane(graph, lane);
+            for (std::size_t l = 0; l < width; ++l) {
+                const auto m = searcher_.match_lane(graph, vec.children[l]);
                 real += m.has_mul ? 1 : 0;
-                accs.push_back(m.acc);
-                bs.push_back(m.b);
-                cs.push_back(m.c);
+                accs[l] = m.acc;
+                bs[l] = m.b;
+                cs[l] = m.c;
             }
             if (real < 1) {
                 continue;
             }
             const ClassId zero = graph.add_const(Rational(0));
-            auto patch = [zero](std::vector<ClassId>& v) {
-                for (ClassId& id : v) {
-                    if (id == VecMacSearcher::kZeroMarker) {
-                        id = zero;
+            auto lift = [&](Lanes& v) {
+                for (std::size_t l = 0; l < width; ++l) {
+                    if (v[l] == VecMacSearcher::kZeroMarker) {
+                        v[l] = zero;
                     }
                 }
+                return graph.add_op(
+                    Op::kVec, std::span<const ClassId>(v.data(), width));
             };
-            patch(accs);
-            patch(bs);
-            patch(cs);
-            const ClassId va = graph.add_op(Op::kVec, std::move(accs));
-            const ClassId vb = graph.add_op(Op::kVec, std::move(bs));
-            const ClassId vc = graph.add_op(Op::kVec, std::move(cs));
+            const ClassId va = lift(accs);
+            const ClassId vb = lift(bs);
+            const ClassId vc = lift(cs);
             const ClassId result =
                 graph.add_op(Op::kVecMAC, {va, vb, vc});
             changed |= graph.merge(root, result);

@@ -376,7 +376,8 @@ scalar_equivalent(const TermRef& a, const TermRef& b)
 }
 
 Verdict
-validate_translation(const TermRef& spec, const TermRef& optimized)
+validate_translation(const TermRef& spec, const TermRef& optimized,
+                     const Deadline& deadline)
 {
     DIOS_FAULT_POINT("validate.exact");
     const std::vector<TermRef> lhs = devectorize(spec);
@@ -386,6 +387,7 @@ validate_translation(const TermRef& spec, const TermRef& optimized)
     }
     Fingerprinter fingerprints;
     for (std::size_t i = 0; i < rhs.size(); ++i) {
+        deadline.check("validation");
         const std::uint64_t expected =
             i < lhs.size() ? fingerprints.of(lhs[i]) : 0;
         if (expected != fingerprints.of(rhs[i])) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "ir/term.h"
+#include "support/deadline.h"
 
 namespace diospyros {
 
@@ -73,9 +74,11 @@ class Fingerprinter {
 /**
  * Equivalence of two programs in the vector DSL. Both are devectorized;
  * `optimized` may be longer than `spec` (zero padding): the extra
- * positions must fingerprint to zero.
+ * positions must fingerprint to zero. `deadline` is checked once per
+ * output element; expiry raises DeadlineExceeded.
  */
-Verdict validate_translation(const TermRef& spec, const TermRef& optimized);
+Verdict validate_translation(const TermRef& spec, const TermRef& optimized,
+                             const Deadline& deadline = {});
 
 /** Equivalence of two scalar terms. */
 Verdict scalar_equivalent(const TermRef& a, const TermRef& b);

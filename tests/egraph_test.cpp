@@ -166,6 +166,77 @@ TEST(EGraph, RandomizedInvariantsUnderMergesAndAdds)
     }
 }
 
+TEST(EGraph, CountersAndDenseTableMatchRecount)
+{
+    // Property: the O(1) node and class counters, the dense table's
+    // class_ids() order and the memory proxy agree with a from-scratch
+    // recount after every add, merge and rebuild, including the Const
+    // nodes the folding analysis injects.
+    Rng rng(31);
+    auto pick = [&rng](const std::vector<ClassId>& ids) {
+        return ids[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(ids.size()) - 1))];
+    };
+    for (int trial = 0; trial < 12; ++trial) {
+        EGraph g;
+        std::vector<ClassId> ids;
+        for (int i = 0; i < 4; ++i) {
+            ids.push_back(g.add_get(Symbol("a"), i));
+            ids.push_back(g.add_const(Rational(i)));
+        }
+        for (int step = 0; step < 120; ++step) {
+            const int action = static_cast<int>(rng.uniform_int(0, 5));
+            if (action == 0) {
+                const ClassId x = pick(ids);
+                const ClassId y = pick(ids);
+                const auto cx = g.constant_of(x);
+                const auto cy = g.constant_of(y);
+                // Constant classes stay out of random merges: joining one
+                // could make congruent parents fold to different values.
+                if (!cx && !cy) {
+                    g.merge(x, y);
+                }
+            } else if (action == 1) {
+                g.rebuild();
+                g.check_invariants();
+            } else if (action == 2) {
+                const int arity = static_cast<int>(rng.uniform_int(1, 5));
+                std::vector<ClassId> lanes;
+                for (int l = 0; l < arity; ++l) {
+                    lanes.push_back(pick(ids));
+                }
+                ids.push_back(g.add_op(Op::kVec, lanes));
+            } else {
+                const Op op = action == 3   ? Op::kAdd
+                              : action == 4 ? Op::kMul
+                                            : Op::kNeg;
+                ids.push_back(op == Op::kNeg
+                                  ? g.add_op(op, {pick(ids)})
+                                  : g.add_op(op, {pick(ids), pick(ids)}));
+            }
+
+            std::vector<ClassId> order;
+            std::vector<bool> seen(g.id_bound(), false);
+            std::size_t nodes = 0;
+            for (ClassId raw = 0; raw < g.id_bound(); ++raw) {
+                const ClassId root = g.find_const(raw);
+                if (!seen[root]) {
+                    seen[root] = true;
+                    order.push_back(root);
+                    nodes += g.eclass(root).nodes.size();
+                }
+            }
+            ASSERT_EQ(g.class_ids(), order) << "step " << step;
+            ASSERT_EQ(g.num_classes(), order.size()) << "step " << step;
+            ASSERT_EQ(g.num_nodes(), nodes) << "step " << step;
+            ASSERT_EQ(g.memory_proxy_bytes(),
+                      nodes * 160 + order.size() * 160);
+        }
+        g.rebuild();
+        g.check_invariants();
+    }
+}
+
 TEST(Pattern, ParsesVariablesAndLiterals)
 {
     const Pattern p = Pattern::parse("(+ ?a (* ?b 0))");

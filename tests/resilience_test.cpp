@@ -14,6 +14,7 @@
 #include "support/faults.h"
 #include "support/numeric.h"
 #include "support/rng.h"
+#include "validation/validate.h"
 
 namespace diospyros {
 namespace {
@@ -440,6 +441,67 @@ TEST_F(Resilience, StrictCompileThrowsOnDeadline)
     options.deadline_seconds = 1e-9;
     EXPECT_THROW(compile_kernel(vector_add_kernel(8), options),
                  ResourceLimitError);
+}
+
+TEST_F(Resilience, ValidatorsCheckTheDeadlinePerElement)
+{
+    const TermRef spec = Term::parse("(List (Get a 0) (Get a 1))");
+    EXPECT_EQ(validate_translation(spec, spec, Deadline::after_seconds(3600)),
+              Verdict::kEquivalent);
+    try {
+        validate_translation(spec, spec, Deadline::after_seconds(0.0));
+        FAIL() << "expected DeadlineExceeded";
+    } catch (const DeadlineExceeded& e) {
+        EXPECT_NE(std::string(e.what()).find("during validation"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(Resilience, DeadlineExpiringDuringValidationDegrades)
+{
+    // Validation (machine level after emission, then term level) is the
+    // last deadline-checked work of a compile, and both validators check
+    // the deadline per output element. Bisect the budget until it runs
+    // out inside validation: rung 0 must then fail with DeadlineExceeded
+    // naming validation, within one element's work of the budget rather
+    // than after validating everything, and the ladder must still
+    // deliver a correct kernel.
+    const Kernel kernel = vector_add_kernel(256);
+    CompilerOptions options = test_options();
+    const CompileResult calibration =
+        compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(calibration.ok) << calibration.error;
+    double lo = 0.0;
+    double hi = 2.0 * calibration.report().total_seconds;
+    bool found = false;
+    for (int step = 0; step < 40 && !found; ++step) {
+        const double budget = 0.5 * (lo + hi);
+        options.deadline_seconds = budget;
+        const CompileResult result =
+            compile_kernel_resilient(kernel, options);
+        ASSERT_TRUE(result.ok) << result.error;
+        ASSERT_FALSE(result.attempts.empty());
+        const AttemptDiagnostic& first = result.attempts.front();
+        if (first.error.empty() ||
+            first.error.find("random-check") != std::string::npos) {
+            hi = budget;  // expired after validation, or never
+            continue;
+        }
+        if (first.error.find("validation") == std::string::npos) {
+            lo = budget;  // expired before validation started
+            continue;
+        }
+        found = true;
+        EXPECT_EQ(first.failure_class, FailureClass::kResource);
+        EXPECT_NE(first.error.find("compile deadline exceeded during"),
+                  std::string::npos)
+            << first.error;
+        EXPECT_LT(first.seconds, budget + 0.25) << "validation overran";
+        EXPECT_GE(result.fallback_level, 1);
+        expect_correct(result, kernel, 29);
+    }
+    EXPECT_TRUE(found) << "no budget expired inside validation";
 }
 
 TEST_F(Resilience, DirectScalarRungMatchesReferenceOnUnalignedKernel)

@@ -423,8 +423,9 @@ print_json_object(const std::string& kernel_name, const CompileReport& r,
     std::printf(
         "{\"kernel\":\"%s\",\"ok\":true,\"cache\":\"%s\","
         "\"queue_wait_ms\":%.3f,"
-        "\"total_seconds\":%.6f,"
-        "\"saturation_seconds\":%.6f,\"egraph_nodes\":%zu,"
+        "\"total_seconds\":%.6f,\"lift_seconds\":%.6f,"
+        "\"saturation_seconds\":%.6f,\"extract_seconds\":%.6f,"
+        "\"backend_seconds\":%.6f,\"egraph_nodes\":%zu,"
         "\"egraph_classes\":%zu,\"iterations\":%zu,"
         "\"stop\":\"%s\",\"extracted_cost\":%.2f,"
         "\"spec_elements\":%zu,\"memory_proxy_bytes\":%zu,"
@@ -434,8 +435,9 @@ print_json_object(const std::string& kernel_name, const CompileReport& r,
         "\"machine_validation\":\"%s\",\"machine_validated\":%s,"
         "\"machine_witness\":\"%s\",\"attempts\":[",
         json_escape(kernel_name).c_str(), cache, queue_wait_ms,
-        r.total_seconds,
-        r.saturation_seconds, r.egraph_nodes, r.egraph_classes,
+        r.total_seconds, r.lift_seconds, r.saturation_seconds,
+        r.extract_seconds, r.backend_seconds, r.egraph_nodes,
+        r.egraph_classes,
         r.runner_iterations, stop_reason_name(r.stop_reason),
         r.extracted_cost, r.spec_elements, r.memory_proxy_bytes,
         r.lvn.value_numbered + r.lvn.dead_removed, r.fallback_level,
@@ -474,6 +476,17 @@ print_json_object(const std::string& kernel_name, const CompileReport& r,
     std::printf("],\"ematch_matches\":%zu,\"ematch_search_seconds\":%.6f,"
                 "\"ematch_apply_seconds\":%.6f",
                 ematch_matches, ematch_search, ematch_apply);
+    // Per-iteration saturation profile ("iterations" is the count).
+    std::printf(",\"iteration_stats\":[");
+    for (std::size_t i = 0; i < r.iterations.size(); ++i) {
+        const IterationStats& it = r.iterations[i];
+        std::printf("%s{\"search_seconds\":%.6f,\"apply_seconds\":%.6f,"
+                    "\"rebuild_seconds\":%.6f,\"nodes_after\":%zu,"
+                    "\"classes_after\":%zu}",
+                    i == 0 ? "" : ",", it.search_seconds, it.apply_seconds,
+                    it.rebuild_seconds, it.nodes_after, it.classes_after);
+    }
+    std::printf("]");
     // Strategy runs: the schedule's identity and per-phase telemetry.
     std::printf(",\"strategy\":\"%s\",\"goal_satisfied\":%s,\"phases\":[",
                 json_escape(r.strategy_name).c_str(),
