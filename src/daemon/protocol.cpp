@@ -1,7 +1,7 @@
 #include "daemon/protocol.h"
 
-#include <cstdio>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 #include "analysis/diagnostics.h"
 #include "machine/target.h"
@@ -13,74 +13,56 @@ namespace diospyros::daemon {
 
 namespace {
 
-Sexpr
-f64_atom(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return Sexpr::atom(buf);
-}
+using View = SexprDoc::View;
 
-Sexpr
-field(const std::string& name, std::vector<Sexpr> values)
-{
-    std::vector<Sexpr> children;
-    children.reserve(values.size() + 1);
-    children.push_back(Sexpr::atom(name));
-    for (Sexpr& v : values) {
-        children.push_back(std::move(v));
-    }
-    return Sexpr::list(std::move(children));
-}
-
+/** A `(name value...)` field with at least one value. */
 bool
-is_field(const Sexpr& s, const char* name)
+is_field(View s, std::string_view name)
 {
-    return s.is_list() && s.size() >= 2 && s[0].is_atom() &&
-           s[0].token() == name;
+    return s.size() >= 2 && s.has_head(name);
 }
 
-const std::string&
-field_token(const Sexpr& s)
+std::string
+field_name(View s)
+{
+    return std::string(s[0].token());
+}
+
+std::string_view
+field_token(View s)
 {
     DIOS_CHECK(s.size() == 2 && s[1].is_atom(),
-               "daemon payload: field '" + s[0].token() +
+               "daemon payload: field '" + field_name(s) +
                    "' expects one atom");
     return s[1].token();
 }
 
 std::int64_t
-field_i64(const Sexpr& s)
+field_i64(View s)
 {
     DIOS_CHECK(s.size() == 2 && s[1].is_integer(),
-               "daemon payload: field '" + s[0].token() +
+               "daemon payload: field '" + field_name(s) +
                    "' expects an integer");
     return s[1].as_integer();
 }
 
 double
-field_f64(const Sexpr& s)
+field_f64(View s)
 {
     DIOS_CHECK(s.size() == 2 && s[1].is_number(),
-               "daemon payload: field '" + s[0].token() +
+               "daemon payload: field '" + field_name(s) +
                    "' expects a number");
     return s[1].as_number();
 }
 
 bool
-field_bool(const Sexpr& s)
+field_bool(View s)
 {
     return field_i64(s) != 0;
 }
 
-Sexpr
-bool_atom(bool v)
-{
-    return Sexpr::atom(v ? "1" : "0");
-}
-
 FailureClass
-failure_class_from_name(const std::string& name)
+failure_class_from_name(std::string_view name)
 {
     for (int i = 0; i <= static_cast<int>(FailureClass::kExpired); ++i) {
         const auto c = static_cast<FailureClass>(i);
@@ -88,23 +70,26 @@ failure_class_from_name(const std::string& name)
             return c;
         }
     }
-    detail::raise_user("daemon payload: unknown failure class '" + name +
-                       "'");
+    detail::raise_user("daemon payload: unknown failure class '" +
+                       std::string(name) + "'");
 }
 
-Sexpr
+/**
+ * Parses a payload whose root must be `(head ...)`. The document borrows
+ * `payload`, which outlives it in every decoder.
+ */
+SexprDoc
 parse_payload(const std::string& payload, const char* head)
 {
-    std::optional<Sexpr> root;
+    std::optional<SexprDoc> doc;
     try {
-        root = parse_sexpr(payload);
+        doc.emplace(payload);
     } catch (const UserError& e) {
         detail::raise_user(std::string("daemon payload: ") + e.what());
     }
-    DIOS_CHECK(root->is_list() && root->size() >= 1 && (*root)[0].is_atom() &&
-                   (*root)[0].token() == head,
+    DIOS_CHECK(doc->root().has_head(head),
                std::string("daemon payload: expected (") + head + " ...)");
-    return std::move(*root);
+    return std::move(*doc);
 }
 
 }  // namespace
@@ -118,69 +103,50 @@ encode_compile_request(const CompileRequest& req)
 {
     CompilerOptions o = req.options;
     o.sync();
-    std::vector<Sexpr> opt_fields;
-    opt_fields.push_back(Sexpr::atom("options"));
-    opt_fields.push_back(
-        field("width", {Sexpr::atom(
-                           std::to_string(o.target.vector_width))}));
-    opt_fields.push_back(field("recip", {bool_atom(o.target.has_reciprocal)}));
-    opt_fields.push_back(field(
-        "nodes", {Sexpr::atom(std::to_string(o.limits.node_limit))}));
-    opt_fields.push_back(field(
-        "iters", {Sexpr::atom(std::to_string(o.limits.iter_limit))}));
-    opt_fields.push_back(
-        field("timeout", {f64_atom(o.limits.time_limit_seconds)}));
-    opt_fields.push_back(field(
-        "match-limit",
-        {Sexpr::atom(std::to_string(o.limits.match_limit_per_rule))}));
-    opt_fields.push_back(field(
-        "backoff",
-        {Sexpr::atom(std::to_string(o.limits.backoff_threshold))}));
-    opt_fields.push_back(field(
-        "memory",
-        {Sexpr::atom(std::to_string(o.limits.memory_limit_bytes))}));
-    opt_fields.push_back(field("deadline", {f64_atom(o.deadline_seconds)}));
-    opt_fields.push_back(
-        field("vector-rules", {bool_atom(o.rules.enable_vector_rules)}));
-    opt_fields.push_back(
-        field("scalar-rules", {bool_atom(o.rules.enable_scalar_rules)}));
-    opt_fields.push_back(field("full-ac", {bool_atom(o.rules.full_ac)}));
-    opt_fields.push_back(field("validate", {bool_atom(o.validate)}));
-    opt_fields.push_back(
-        field("random-check", {bool_atom(o.random_check)}));
-    opt_fields.push_back(field("verify-ir", {bool_atom(o.verify_ir)}));
-    opt_fields.push_back(
-        field("verify-machine", {bool_atom(o.verify_machine)}));
-    opt_fields.push_back(field(
-        "io-retries", {Sexpr::atom(std::to_string(o.io_retries))}));
-    opt_fields.push_back(field(
-        "strategy", {Sexpr::string_atom(
-                        o.strategy ? o.strategy->to_string() : "")}));
-
-    std::vector<Sexpr> children;
-    children.push_back(Sexpr::atom("compile-request"));
-    children.push_back(
-        field("kernel-name", {Sexpr::string_atom(req.kernel_name)}));
-    children.push_back(
-        field("kernel-text", {Sexpr::string_atom(req.kernel_text)}));
-    children.push_back(Sexpr::list(std::move(opt_fields)));
-    children.push_back(field(
-        "priority",
-        {Sexpr::atom(service::priority_name(req.priority))}));
-    children.push_back(
-        field("submit-timeout", {f64_atom(req.submit_timeout_seconds)}));
-    return Sexpr::list(std::move(children)).to_string();
+    const auto flag = [](bool v) { return v ? 1 : 0; };
+    std::string out;
+    SexprWriter w(out);
+    w.open("compile-request");
+    w.open("kernel-name").atom(req.kernel_name).close();
+    w.open("kernel-text").atom(req.kernel_text).close();
+    w.open("options");
+    w.open("width").i64(o.target.vector_width).close();
+    w.open("recip").i64(flag(o.target.has_reciprocal)).close();
+    w.open("nodes").u64(o.limits.node_limit).close();
+    w.open("iters").i64(o.limits.iter_limit).close();
+    w.open("timeout").f64(o.limits.time_limit_seconds).close();
+    w.open("match-limit").u64(o.limits.match_limit_per_rule).close();
+    w.open("backoff").u64(o.limits.backoff_threshold).close();
+    w.open("memory").u64(o.limits.memory_limit_bytes).close();
+    w.open("deadline").f64(o.deadline_seconds).close();
+    w.open("vector-rules").i64(flag(o.rules.enable_vector_rules)).close();
+    w.open("scalar-rules").i64(flag(o.rules.enable_scalar_rules)).close();
+    w.open("full-ac").i64(flag(o.rules.full_ac)).close();
+    w.open("validate").i64(flag(o.validate)).close();
+    w.open("random-check").i64(flag(o.random_check)).close();
+    w.open("verify-ir").i64(flag(o.verify_ir)).close();
+    w.open("verify-machine").i64(flag(o.verify_machine)).close();
+    w.open("io-retries").i64(o.io_retries).close();
+    w.open("strategy")
+        .atom(o.strategy ? o.strategy->to_string() : "")
+        .close();
+    w.close();
+    w.open("priority").atom(service::priority_name(req.priority)).close();
+    w.open("submit-timeout").f64(req.submit_timeout_seconds).close();
+    w.close();
+    return out;
 }
 
 CompileRequest
 decode_compile_request(const std::string& payload)
 {
-    const Sexpr root = parse_payload(payload, "compile-request");
+    const SexprDoc doc = parse_payload(payload, "compile-request");
+    const View root = doc.root();
     CompileRequest req;
     bool saw_name = false;
     bool saw_text = false;
     for (std::size_t i = 1; i < root.size(); ++i) {
-        const Sexpr& f = root[i];
+        const View f = root[i];
         if (is_field(f, "kernel-name")) {
             req.kernel_name = field_token(f);
             saw_name = true;
@@ -188,14 +154,14 @@ decode_compile_request(const std::string& payload)
             req.kernel_text = field_token(f);
             saw_text = true;
         } else if (is_field(f, "priority")) {
-            req.priority = service::parse_priority(field_token(f));
+            req.priority =
+                service::parse_priority(std::string(field_token(f)));
         } else if (is_field(f, "submit-timeout")) {
             req.submit_timeout_seconds = field_f64(f);
-        } else if (f.is_list() && f.size() >= 1 && f[0].is_atom() &&
-                   f[0].token() == "options") {
+        } else if (f.has_head("options")) {
             CompilerOptions& o = req.options;
             for (std::size_t j = 1; j < f.size(); ++j) {
-                const Sexpr& g = f[j];
+                const View g = f[j];
                 if (is_field(g, "width")) {
                     // Reject bad widths here at the protocol boundary:
                     // a daemon must fail the one request, not crash or
@@ -242,7 +208,7 @@ decode_compile_request(const std::string& payload)
                 } else if (is_field(g, "io-retries")) {
                     o.io_retries = static_cast<int>(field_i64(g));
                 } else if (is_field(g, "strategy")) {
-                    const std::string& text = field_token(g);
+                    const std::string text(field_token(g));
                     if (!text.empty()) {
                         analysis::DiagEngine diags;
                         auto strat = strategy::parse_strategy(text, diags);
@@ -275,36 +241,38 @@ decode_compile_request(const std::string& payload)
 std::string
 encode_compile_response(const CompileResponse& resp)
 {
-    std::vector<Sexpr> children;
-    children.push_back(Sexpr::atom("compile-response"));
     const char* status = resp.status == ResponseStatus::kOk     ? "ok"
                          : resp.status == ResponseStatus::kShed ? "shed"
                                                                 : "failed";
-    children.push_back(field("status", {Sexpr::atom(status)}));
-    children.push_back(field(
-        "retry-after-ms",
-        {Sexpr::atom(std::to_string(resp.retry_after_ms))}));
-    children.push_back(field(
-        "failure-class",
-        {Sexpr::atom(failure_class_name(resp.failure_class))}));
-    children.push_back(field("error", {Sexpr::string_atom(resp.error)}));
+    std::string out;
+    SexprWriter w(out);
+    w.open("compile-response");
+    w.open("status").atom(status).close();
+    w.open("retry-after-ms").u64(resp.retry_after_ms).close();
+    w.open("failure-class")
+        .atom(failure_class_name(resp.failure_class))
+        .close();
+    w.open("error").atom(resp.error).close();
     if (resp.entry) {
-        children.push_back(
-            field("entry", {service::entry_to_sexpr(*resp.entry)}));
+        w.open("entry");
+        service::write_entry(w, *resp.entry);
+        w.close();
     }
-    return Sexpr::list(std::move(children)).to_string();
+    w.close();
+    return out;
 }
 
 CompileResponse
 decode_compile_response(const std::string& payload)
 {
-    const Sexpr root = parse_payload(payload, "compile-response");
+    const SexprDoc doc = parse_payload(payload, "compile-response");
+    const View root = doc.root();
     CompileResponse resp;
     bool saw_status = false;
     for (std::size_t i = 1; i < root.size(); ++i) {
-        const Sexpr& f = root[i];
+        const View f = root[i];
         if (is_field(f, "status")) {
-            const std::string& s = field_token(f);
+            const std::string_view s = field_token(f);
             if (s == "ok") {
                 resp.status = ResponseStatus::kOk;
             } else if (s == "shed") {
@@ -313,7 +281,8 @@ decode_compile_response(const std::string& payload)
                 resp.status = ResponseStatus::kFailed;
             } else {
                 detail::raise_user(
-                    "daemon payload: unknown response status '" + s + "'");
+                    "daemon payload: unknown response status '" +
+                    std::string(s) + "'");
             }
             saw_status = true;
         } else if (is_field(f, "retry-after-ms")) {
@@ -326,7 +295,7 @@ decode_compile_response(const std::string& payload)
         } else if (is_field(f, "entry")) {
             DIOS_CHECK(f.size() == 2,
                        "daemon payload: entry field expects one value");
-            resp.entry = service::entry_from_sexpr(f[1]);
+            resp.entry = service::read_entry(f[1]);
         }
     }
     DIOS_CHECK(saw_status, "daemon payload: compile-response missing status");
@@ -338,11 +307,13 @@ decode_compile_response(const std::string& payload)
 std::string
 encode_error_payload(const std::string& kind, const std::string& detail)
 {
-    std::vector<Sexpr> children;
-    children.push_back(Sexpr::atom("error"));
-    children.push_back(field("kind", {Sexpr::string_atom(kind)}));
-    children.push_back(field("detail", {Sexpr::string_atom(detail)}));
-    return Sexpr::list(std::move(children)).to_string();
+    std::string out;
+    SexprWriter w(out);
+    w.open("error");
+    w.open("kind").atom(kind).close();
+    w.open("detail").atom(detail).close();
+    w.close();
+    return out;
 }
 
 }  // namespace diospyros::daemon

@@ -183,20 +183,16 @@ LoadResult
 verify_text(const std::string& text, const CacheKey* expected_key)
 {
     LoadResult r;
-    Sexpr outer = [&] {
-        try {
-            return parse_sexpr(text);
-        } catch (const UserError& e) {
-            r.status = LoadStatus::kCorrupt;
-            r.detail = std::string("unparsable envelope: ") + e.what();
-            return Sexpr::atom("unparsable");
-        }
-    }();
-    if (r.status == LoadStatus::kCorrupt) {
+    std::optional<SexprDoc> doc;
+    try {
+        doc.emplace(text);
+    } catch (const UserError& e) {
+        r.status = LoadStatus::kCorrupt;
+        r.detail = std::string("unparsable envelope: ") + e.what();
         return r;
     }
 
-    const EnvelopeFields env = envelope_fields(outer);
+    const EnvelopeFields env = envelope_fields(doc->root());
     if (!env.well_formed) {
         r.status = LoadStatus::kCorrupt;
         r.detail = "malformed envelope: " + env.error;
@@ -231,7 +227,7 @@ verify_text(const std::string& text, const CacheKey* expected_key)
 
     CachedEntry entry;
     try {
-        entry = entry_from_sexpr(*env.payload);
+        entry = read_entry(*env.payload);
     } catch (const UserError& e) {
         // Checksum-valid but structurally wrong: written by a buggy or
         // incompatible producer. Quarantine rather than serve.
@@ -379,8 +375,7 @@ DiskCache::store(const CachedEntry& entry, const IoPolicy& policy) const
     static std::atomic<unsigned> counter{0};
     const fs::path shard_dir = shard_dir_for(entry.key);
     const fs::path final_path = path_for(entry.key);
-    const std::string text =
-        envelope_to_sexpr(entry).to_pretty_string() + "\n";
+    const std::string text = envelope_text(entry) + "\n";
 
     return with_retries(policy, [&] {
         {

@@ -3,6 +3,8 @@
  * On-disk representation of a compiled kernel: the compile service's
  * disk cache persists entries as s-expressions (support/sexpr.h), the
  * same machinery the rest of the toolchain uses for specs and rules.
+ * Entries are written straight to text with SexprWriter and read back
+ * from a SexprDoc::View; no tree is built on either side.
  *
  * An entry stores exactly what a warm process needs to *serve* the
  * kernel without re-running saturation: the emitted machine program
@@ -14,13 +16,14 @@
  * reconstructed from disk, its `extracted` field aliases the (re-lifted)
  * padded spec as a placeholder.
  *
- * Round-trip contract: serialize(deserialize(x)) == x byte-for-byte,
- * and a deserialized program disassembles identically to the original —
+ * Round-trip contract: write(read(x)) == x byte-for-byte, and a
+ * deserialized program disassembles identically to the original —
  * that is what makes warm-cache outputs byte-identical to cold ones.
  */
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,11 +53,14 @@ struct CachedEntry {
     Program machine;
 };
 
-/** Serializes an entry to its s-expression form. */
-Sexpr entry_to_sexpr(const CachedEntry& entry);
+/** Writes an entry's canonical `(dios-cache-entry ...)` form. */
+void write_entry(SexprWriter& w, const CachedEntry& entry);
 
-/** Parses an entry; raises UserError on malformed or mis-versioned input. */
-CachedEntry entry_from_sexpr(const Sexpr& sexpr);
+/**
+ * Reads an entry; raises UserError on malformed input. Unknown fields
+ * are skipped; the rule-set version is returned, not checked.
+ */
+CachedEntry read_entry(SexprDoc::View view);
 
 /**
  * Version of the on-disk *envelope* format (distinct from
@@ -70,20 +76,24 @@ CachedEntry entry_from_sexpr(const Sexpr& sexpr);
 constexpr std::uint64_t kCacheFormatVersion = 3;
 
 /**
- * Wraps an entry in the durable on-disk envelope:
+ * The durable on-disk envelope text of an entry, as DiskCache::store
+ * writes it (less the final newline):
  *
  *   (dios-cache-envelope
- *     (format-version 2)
+ *     (format-version 3)
  *     (rule-set-version N)
  *     (checksum <16-hex StableHasher digest of the payload's canonical
- *                to_string() rendering>)
- *     (payload (dios-cache-entry ...)))
+ *                flat rendering>)
+ *     (payload
+ *       (dios-cache-entry ...)))
  *
- * The checksum is computed over the payload's canonical (non-pretty)
- * serialization, so on-disk whitespace differences never matter while
- * any content-bearing bit flip is detected.
+ * The text is wrapped at 79 columns (SexprDoc::View::to_pretty_string).
+ * The checksum is computed over the payload's canonical (flat)
+ * rendering — the bytes write_entry() produces — so on-disk whitespace
+ * differences never matter while any content-bearing bit flip is
+ * detected.
  */
-Sexpr envelope_to_sexpr(const CachedEntry& entry);
+std::string envelope_text(const CachedEntry& entry);
 
 /** Parsed envelope header; see envelope_fields(). */
 struct EnvelopeFields {
@@ -94,8 +104,8 @@ struct EnvelopeFields {
     std::uint64_t rule_set_version = 0;
     /** Stored payload checksum (compare with stable_hash_string). */
     std::uint64_t checksum = 0;
-    /** Borrowed pointer into the inspected sexpr; null if !well_formed. */
-    const Sexpr* payload = nullptr;
+    /** The payload node of the inspected document; engaged iff well_formed. */
+    std::optional<SexprDoc::View> payload;
     /** Canonical rendering of the payload — the checksummed bytes. */
     std::string payload_text;
 };
@@ -106,7 +116,7 @@ struct EnvelopeFields {
  * corruption policy) on top. Never throws; malformed input comes back
  * as !well_formed.
  */
-EnvelopeFields envelope_fields(const Sexpr& sexpr);
+EnvelopeFields envelope_fields(SexprDoc::View view);
 
 /** Builds the persistable entry for a finished resilient compile. */
 CachedEntry make_entry(const CacheKey& key, const CompilerOptions& options,

@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/driver.h"
@@ -26,7 +28,9 @@
 #include "machine/program.h"
 #include "scalar/parse.h"
 #include "service/serialize.h"
+#include "strategy/strategy.h"
 #include "support/error.h"
+#include "support/sexpr.h"
 
 namespace diospyros {
 namespace {
@@ -101,6 +105,50 @@ make_request_frame(std::uint64_t client_id, std::uint64_t seq)
     frame.seq = seq;
     frame.payload = encode_compile_request(req);
     return frame;
+}
+
+/**
+ * Sends one frame on a fresh connection and returns the first reply
+ * frame (a default Frame, with a test failure, if the daemon hangs up).
+ */
+Frame
+exchange(const std::string& sock, const Frame& request)
+{
+    const std::string wire = daemon::encode_frame(request);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock.c_str(), sizeof addr.sun_path - 1);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    std::size_t sent = 0;
+    while (sent < wire.size()) {
+        const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) {
+            ADD_FAILURE() << "send failed after " << sent << " bytes";
+            break;
+        }
+        sent += static_cast<std::size_t>(n);
+    }
+    FrameDecoder decoder;
+    Frame out;
+    FrameError err;
+    char buf[65536];
+    for (;;) {
+        if (decoder.poll(out, err) == FrameDecoder::Status::kFrame) {
+            break;
+        }
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0) {
+            ADD_FAILURE() << "connection closed before a reply";
+            break;
+        }
+        decoder.feed(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -368,6 +416,214 @@ TEST(Protocol, MalformedPayloadsRaiseUserErrorNeverCrash)
         UserError);
 }
 
+/** One payload decoder under mutation: decode, then re-encode. */
+using Decoder = std::string (*)(const std::string&);
+
+std::string
+request_round_trip(const std::string& payload)
+{
+    return encode_compile_request(daemon::decode_compile_request(payload));
+}
+
+std::string
+response_round_trip(const std::string& payload)
+{
+    return daemon::encode_compile_response(
+        daemon::decode_compile_response(payload));
+}
+
+/**
+ * Runs `decode` on `mutant`. A malformed payload must raise UserError;
+ * anything else that escapes is a failure. Returns the re-encoding of a
+ * payload that decoded, nullopt for one that was rejected.
+ */
+std::optional<std::string>
+decode_or_reject(Decoder decode, const std::string& mutant,
+                 const std::string& what)
+{
+    try {
+        return decode(mutant);
+    } catch (const UserError&) {
+        return std::nullopt;
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << what << ": " << e.what();
+        return std::nullopt;
+    }
+}
+
+/** The canonical text of each field of the record `(head field...)`. */
+std::vector<std::string>
+record_fields(const std::string& payload, const std::string& head)
+{
+    const SexprDoc doc(payload);
+    std::vector<std::string> fields;
+    std::vector<SexprDoc::View> todo = {doc.root()};
+    while (!todo.empty()) {
+        const SexprDoc::View v = todo.back();
+        todo.pop_back();
+        if (v.has_head(head)) {
+            for (std::size_t i = 1; i < v.size(); ++i) {
+                fields.push_back(v[i].to_string());
+            }
+            return fields;
+        }
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            todo.push_back(v[i]);
+        }
+    }
+    ADD_FAILURE() << "no (" << head << " ...) record";
+    return fields;
+}
+
+/** [begin, end) of every atom and every non-root list of canonical text. */
+void
+node_spans(const std::string& text,
+           std::vector<std::pair<std::size_t, std::size_t>>& atoms,
+           std::vector<std::pair<std::size_t, std::size_t>>& lists)
+{
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < text.size();) {
+        const char c = text[i];
+        if (c == ' ') {
+            ++i;
+        } else if (c == '(') {
+            open.push_back(i++);
+        } else if (c == ')') {
+            if (open.size() > 1) {
+                lists.emplace_back(open.back(), i + 1);
+            }
+            open.pop_back();
+            ++i;
+        } else if (c == '"') {
+            std::size_t j = i + 1;
+            while (text[j] != '"') {
+                j += text[j] == '\\' ? 2 : 1;
+            }
+            atoms.emplace_back(i, j + 1);
+            i = j + 1;
+        } else {
+            std::size_t j = i;
+            while (j < text.size() && text[j] != ' ' && text[j] != '(' &&
+                   text[j] != ')') {
+                ++j;
+            }
+            atoms.emplace_back(i, j);
+            i = j;
+        }
+    }
+}
+
+/**
+ * Seeded, deterministic mutations of one encoded payload: truncation at
+ * every offset, bit flips, byte splices, every atom turned into a list
+ * and every list into an atom, duplicated fields (which must decode to
+ * the same value: the last copy wins) and unknown fields in every record
+ * (which must be skipped).
+ */
+void
+fuzz_payload(Decoder decode, const std::string& payload,
+             const std::vector<std::string>& records, std::uint64_t seed)
+{
+    ASSERT_EQ(decode(payload), payload);
+    std::uint64_t rng = seed;
+    std::size_t rejected = 0;
+    for (std::size_t n = 0; n < payload.size(); ++n) {
+        if (!decode_or_reject(decode, payload.substr(0, n),
+                              "truncated at " + std::to_string(n))) {
+            ++rejected;
+        }
+    }
+    EXPECT_EQ(rejected, payload.size());  // no proper prefix is a payload
+
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::string mutant = payload;
+        const std::size_t at = next_rand(rng) % mutant.size();
+        mutant[at] = static_cast<char>(mutant[at] ^ (1 << (trial % 8)));
+        decode_or_reject(decode, mutant,
+                         "bit flip at " + std::to_string(at));
+    }
+    for (int trial = 0; trial < 1000; ++trial) {
+        const std::size_t from = next_rand(rng) % payload.size();
+        const std::size_t len = 1 + next_rand(rng) % 64;
+        const std::size_t to = next_rand(rng) % payload.size();
+        std::string mutant = payload;
+        const std::string piece = payload.substr(from, len);
+        if (trial % 2 == 0) {
+            mutant.insert(to, piece);
+        } else {
+            mutant.replace(to, piece.size(), piece);
+        }
+        decode_or_reject(decode, mutant,
+                         "splice of " + std::to_string(from) + "+" +
+                             std::to_string(len) + " at " +
+                             std::to_string(to));
+    }
+
+    std::vector<std::pair<std::size_t, std::size_t>> atoms, lists;
+    node_spans(payload, atoms, lists);
+    for (const auto& [begin, end] : atoms) {
+        std::string mutant = payload;
+        mutant.insert(end, ")");
+        mutant.insert(begin, "(");
+        decode_or_reject(decode, mutant,
+                         "atom as list at " + std::to_string(begin));
+    }
+    for (const auto& [begin, end] : lists) {
+        std::string mutant = payload;
+        mutant.replace(begin, end - begin, "x");
+        decode_or_reject(decode, mutant,
+                         "list as atom at " + std::to_string(begin));
+    }
+
+    const std::string unknown = "(zz-unknown-field 1 (nested \"x y\") ())";
+    for (const std::string& head : records) {
+        const std::string open = "(" + head + " ";
+        const std::size_t at = payload.find(open);
+        ASSERT_NE(at, std::string::npos) << head;
+        std::string mutant = payload;
+        mutant.insert(at + open.size(), unknown + " ");
+        EXPECT_EQ(decode_or_reject(decode, mutant, "unknown in " + head),
+                  payload)
+            << "unknown field in (" << head << " ...) was not skipped";
+    }
+    for (const std::string& field : record_fields(payload, records[0])) {
+        const std::size_t at = payload.find(field);
+        ASSERT_NE(at, std::string::npos);
+        std::string mutant = payload;
+        mutant.insert(at + field.size(), " " + field);
+        EXPECT_EQ(decode_or_reject(decode, mutant, "duplicate " + field),
+                  payload)
+            << "duplicated field " << field.substr(0, 40);
+    }
+}
+
+TEST(Protocol, MutatedPayloadsDecodeOrRaiseUserErrorNeverCrash)
+{
+    CompileRequest req;
+    req.kernel_name = "vadd4";
+    req.kernel_text = kVaddText;
+    req.options = test_options();
+    req.options.strategy = strategy::builtin_phased();
+    req.priority = service::Priority::kInteractive;
+    req.submit_timeout_seconds = 0.25;
+    fuzz_payload(&request_round_trip, encode_compile_request(req),
+                 {"compile-request", "options"}, 0x5eed0001ULL);
+
+    const scalar::Kernel kernel = scalar::parse_kernel(kVaddText);
+    const CompilerOptions options = test_options();
+    const CompileResult local = compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(local.ok);
+    CompileResponse resp;
+    resp.status = ResponseStatus::kOk;
+    resp.error = "note: \"quoted\"\n";
+    resp.entry = service::make_entry(
+        service::compute_cache_key(kernel, options), options,
+        *local.compiled);
+    fuzz_payload(&response_round_trip, daemon::encode_compile_response(resp),
+                 {"compile-response", "dios-cache-entry", "report", "machine"},
+                 0x5eed0002ULL);
+}
+
 // ---------------------------------------------------------------------------
 // Live daemon end to end
 // ---------------------------------------------------------------------------
@@ -421,41 +677,9 @@ TEST(DaemonEndToEnd, ReplayedFrameIsServedFromDedupNotRecompiled)
     // Speak the protocol by hand so the exact same (client_id, seq)
     // frame goes out twice — what a retry after a torn reply does.
     const Frame request = make_request_frame(0xc11e47, 1);
-    const std::string wire = daemon::encode_frame(request);
-
-    auto exchange = [&]() -> Frame {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        EXPECT_GE(fd, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, dir.sock().c_str(),
-                     sizeof addr.sun_path - 1);
-        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof addr),
-                  0);
-        EXPECT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(wire.size()));
-        FrameDecoder decoder;
-        Frame out;
-        FrameError err;
-        char buf[65536];
-        for (;;) {
-            if (decoder.poll(out, err) == FrameDecoder::Status::kFrame) {
-                break;
-            }
-            const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-            if (n <= 0) {
-                ADD_FAILURE() << "connection closed before a reply";
-                break;
-            }
-            decoder.feed(buf, static_cast<std::size_t>(n));
-        }
-        ::close(fd);
-        return out;
-    };
-
-    const Frame first = exchange();
-    const Frame second = exchange();  // replay on a NEW connection
+    const Frame first = exchange(dir.sock(), request);
+    // Replay on a NEW connection.
+    const Frame second = exchange(dir.sock(), request);
     EXPECT_EQ(first.type, FrameType::kCompileResponse);
     EXPECT_EQ(second.type, FrameType::kCompileResponse);
     // Identical recorded bytes, and the daemon counted a dedup hit
@@ -530,6 +754,66 @@ TEST(DaemonEndToEnd, MalformedFramesAreRejectedWithoutCrashing)
     const auto resp = client.compile(req);
     ASSERT_TRUE(resp.has_value());
     EXPECT_EQ(resp->status, ResponseStatus::kOk);
+
+    d.shutdown();
+}
+
+TEST(DaemonEndToEnd, DeeplyNestedPayloadsFailAsUserErrorsAndServingGoesOn)
+{
+    TempDir dir("deep");
+    daemon::DaemonOptions dopts;
+    dopts.socket_path = dir.sock();
+    dopts.service.jobs = 1;
+    daemon::Daemon d(dopts);
+    d.start();
+
+    // A million-deep request payload: within the frame cap, far past the
+    // s-expression nesting cap.
+    Frame deep_frame;
+    deep_frame.type = FrameType::kCompileRequest;
+    deep_frame.client_id = 0xdee9;
+    deep_frame.seq = 1;
+    deep_frame.payload = std::string(1'000'000, '(');
+    const Frame reply = exchange(dir.sock(), deep_frame);
+    ASSERT_EQ(reply.type, FrameType::kCompileResponse);
+    const CompileResponse deep_resp =
+        daemon::decode_compile_response(reply.payload);
+    EXPECT_EQ(deep_resp.status, ResponseStatus::kFailed);
+    EXPECT_EQ(deep_resp.failure_class, FailureClass::kUser);
+
+    // A well-formed request whose kernel text nests 100000 levels deep.
+    std::string text;
+    text.reserve(100'000 * 8);
+    text += "(kernel deep (param n 4) (input A n) (output C n)\n"
+            "  (for i 0 n (store C i ";
+    for (int i = 0; i < 100'000; ++i) {
+        text += "(+ ";
+    }
+    text += "(load A i)";
+    for (int i = 0; i < 100'000; ++i) {
+        text += " 1)";
+    }
+    text += ")))\n";
+    RemoteOptions ropts;
+    ropts.socket_path = dir.sock();
+    ropts.jitter_seed = 4;
+    RemoteClient client(ropts);
+    CompileRequest req;
+    req.kernel_name = "deep";
+    req.kernel_text = text;
+    req.options = test_options();
+    const auto kernel_resp = client.compile(req);
+    ASSERT_TRUE(kernel_resp.has_value());
+    EXPECT_EQ(kernel_resp->status, ResponseStatus::kFailed);
+    EXPECT_EQ(kernel_resp->failure_class, FailureClass::kUser);
+
+    // The daemon is still up and still compiles.
+    req.kernel_name = "vadd4";
+    req.kernel_text = kVaddText;
+    const auto ok = client.compile(req);
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(ok->status, ResponseStatus::kOk);
+    EXPECT_TRUE(d.running());
 
     d.shutdown();
 }

@@ -137,18 +137,28 @@ TEST(Envelope, ChecksumCoversCanonicalPayload)
     const CompilerOptions options = test_options();
     const CachedEntry entry = compiled_entry(kernel, options);
 
-    const Sexpr env = service::envelope_to_sexpr(entry);
-    const service::EnvelopeFields fields = service::envelope_fields(env);
+    const std::string pretty = service::envelope_text(entry);
+    const SexprDoc doc(pretty);
+    const service::EnvelopeFields fields =
+        service::envelope_fields(doc.root());
     ASSERT_TRUE(fields.well_formed) << fields.error;
     EXPECT_EQ(fields.format_version, service::kCacheFormatVersion);
     EXPECT_EQ(fields.rule_set_version, service::kRuleSetVersion);
     EXPECT_EQ(fields.checksum, stable_hash_string(fields.payload_text));
+    // The checksummed bytes are the entry's canonical rendering.
+    std::string flat_entry;
+    SexprWriter w(flat_entry);
+    service::write_entry(w, entry);
+    EXPECT_EQ(fields.payload_text, flat_entry);
 
     // Pretty-printing (what store() writes) only changes whitespace, so
-    // the canonical payload text — and with it the checksum — survives a
-    // parse round trip of the pretty form.
-    const Sexpr reparsed = parse_sexpr(env.to_pretty_string());
-    const service::EnvelopeFields again = service::envelope_fields(reparsed);
+    // the canonical payload text — and with it the checksum — is the
+    // same when the envelope is read back from its flat form.
+    const std::string flat = doc.root().to_string();
+    EXPECT_NE(flat, pretty);
+    const SexprDoc reparsed(flat);
+    const service::EnvelopeFields again =
+        service::envelope_fields(reparsed.root());
     ASSERT_TRUE(again.well_formed) << again.error;
     EXPECT_EQ(again.payload_text, fields.payload_text);
     EXPECT_EQ(again.checksum, fields.checksum);
@@ -156,14 +166,126 @@ TEST(Envelope, ChecksumCoversCanonicalPayload)
 
 TEST(Envelope, MalformedEnvelopesAreReported)
 {
+    const SexprDoc atom_doc("x");
     const service::EnvelopeFields atom =
-        service::envelope_fields(Sexpr::atom("x"));
+        service::envelope_fields(atom_doc.root());
     EXPECT_FALSE(atom.well_formed);
     EXPECT_FALSE(atom.error.empty());
 
-    const service::EnvelopeFields wrong_head = service::envelope_fields(
-        parse_sexpr("(not-an-envelope (format-version 2))"));
+    const SexprDoc wrong_head_doc("(not-an-envelope (format-version 2))");
+    const service::EnvelopeFields wrong_head =
+        service::envelope_fields(wrong_head_doc.root());
     EXPECT_FALSE(wrong_head.well_formed);
+}
+
+/** The canonical flat text of an entry (the checksummed bytes). */
+std::string
+flat_entry_text(const CachedEntry& entry)
+{
+    std::string text;
+    SexprWriter w(text);
+    service::write_entry(w, entry);
+    return text;
+}
+
+TEST(Envelope, MutatedEnvelopesLoadAsCorruptOrMissNeverCrash)
+{
+    TempDir dir("fuzz");
+    const Kernel kernel = vector_add_kernel(4);
+    const CompilerOptions options = test_options();
+    const CachedEntry entry = compiled_entry(kernel, options);
+    DiskCache disk(dir.str());
+    disk.store(entry);
+    const fs::path path = disk.path_for(entry.key);
+    const std::string good = slurp(path);
+    const std::string want = flat_entry_text(entry);
+
+    std::size_t corrupt = 0, miss = 0, intact = 0;
+    auto load_mutant = [&](const std::string& mutant,
+                           const std::string& what) {
+        spit(path, mutant);
+        LoadResult r;
+        try {
+            r = disk.load(entry.key);
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << what << ": load threw " << e.what();
+            return;
+        }
+        switch (r.status) {
+          case LoadStatus::kCorrupt:
+            EXPECT_FALSE(r.entry.has_value()) << what;
+            ++corrupt;
+            break;
+          case LoadStatus::kMiss:
+            EXPECT_FALSE(r.entry.has_value()) << what;
+            ++miss;
+            break;
+          case LoadStatus::kHit:
+            // Only a mutation that leaves the content alone (whitespace,
+            // the trailing newline) may still load, and then it must load
+            // the very entry that was stored.
+            ASSERT_TRUE(r.entry.has_value()) << what;
+            EXPECT_EQ(flat_entry_text(*r.entry), want) << what;
+            ++intact;
+            break;
+        }
+    };
+
+    for (std::size_t n = 0; n < good.size(); ++n) {
+        load_mutant(good.substr(0, n), "truncated at " + std::to_string(n));
+    }
+    std::uint64_t rng = 0x5eed0003ULL;
+    auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng * 0x2545F4914F6CDD1DULL;
+    };
+    for (int trial = 0; trial < 1000; ++trial) {
+        std::string mutant = good;
+        const std::size_t at = next() % mutant.size();
+        mutant[at] = static_cast<char>(mutant[at] ^ (1 << (trial % 8)));
+        load_mutant(mutant, "bit flip at " + std::to_string(at));
+    }
+    for (int trial = 0; trial < 500; ++trial) {
+        const std::size_t from = next() % good.size();
+        const std::size_t to = next() % good.size();
+        const std::string piece = good.substr(from, 1 + next() % 64);
+        std::string mutant = good;
+        if (trial % 2 == 0) {
+            mutant.insert(to, piece);
+        } else {
+            mutant.replace(to, piece.size(), piece);
+        }
+        load_mutant(mutant, "splice at " + std::to_string(to));
+    }
+    // Duplicated and unknown fields, in the header and in the payload.
+    for (const char* head : {"(format-version", "(checksum", "(payload",
+                             "(kernel", "(report", "(machine"}) {
+        const std::size_t at = good.find(head);
+        ASSERT_NE(at, std::string::npos) << head;
+        const std::size_t end = good.find(')', at);
+        std::string duplicated = good;
+        duplicated.insert(end + 1, " " + good.substr(at, end + 1 - at));
+        load_mutant(duplicated, std::string("duplicated ") + head);
+        std::string unknown = good;
+        unknown.insert(at, "(zz-unknown-field 1) ");
+        load_mutant(unknown, std::string("unknown before ") + head);
+    }
+    // Header versions outside the checksum: stale ones are clean misses.
+    for (const auto& [from, to] :
+         {std::pair<std::string, std::string>{"(format-version 3)",
+                                              "(format-version 2)"},
+          {"(rule-set-version 1)", "(rule-set-version 0)"}}) {
+        const std::size_t at = good.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        std::string mutant = good;
+        mutant.replace(at, from.size(), to);
+        load_mutant(mutant, to);
+    }
+    EXPECT_GT(corrupt, good.size());  // every proper prefix but the last
+    EXPECT_GE(miss, 2u);
+    EXPECT_GE(intact, 1u);  // the prefix without the final newline
 }
 
 // ---------------------------------------------------------------------------
@@ -217,6 +339,16 @@ std::string
 zero_out(const std::string& text)
 {
     return std::string(text.size(), ' ');
+}
+
+std::string
+nest_deeply(const std::string& text)
+{
+    // A million open parens inside the envelope head: far past the
+    // s-expression nesting cap, and a stack overflow for a recursive
+    // parser.
+    (void)text;
+    return "(dios-cache-envelope " + std::string(1'000'000, '(');
 }
 
 class CorruptionRecovery : public ::testing::TestWithParam<Corruption> {};
@@ -284,7 +416,8 @@ INSTANTIATE_TEST_SUITE_P(
         Corruption{"truncate", &truncate_half, false},
         Corruption{"bitflip", &flip_payload_digit, true},
         Corruption{"version_bump", &bump_format_version, false},
-        Corruption{"zero_out", &zero_out, false}),
+        Corruption{"zero_out", &zero_out, false},
+        Corruption{"deep_nesting", &nest_deeply, false}),
     [](const ::testing::TestParamInfo<Corruption>& info) {
         return info.param.name;
     });

@@ -8,11 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "compiler/driver.h"
+#include "daemon/protocol.h"
+#include "kernels/kernels.h"
 #include "machine/program.h"
 #include "scalar/canonical.h"
 #include "service/cache_key.h"
@@ -291,6 +294,23 @@ TEST(CacheKey, SyncedAndUnsyncedOptionsAgree)
 // Entry serialization
 // ---------------------------------------------------------------------------
 
+/** An entry's canonical text (the bytes the checksum and wire carry). */
+std::string
+entry_text(const service::CachedEntry& entry)
+{
+    std::string text;
+    SexprWriter w(text);
+    service::write_entry(w, entry);
+    return text;
+}
+
+service::CachedEntry
+entry_from_text(const std::string& text)
+{
+    const SexprDoc doc(text);
+    return service::read_entry(doc.root());
+}
+
 TEST(Serialization, EntryRoundTripsByteForByte)
 {
     const Kernel kernel = dot_kernel(8);
@@ -302,10 +322,9 @@ TEST(Serialization, EntryRoundTripsByteForByte)
     const service::CachedEntry entry =
         service::make_entry(key, options, *result.compiled);
 
-    const std::string text = service::entry_to_sexpr(entry).to_string();
-    const service::CachedEntry back =
-        service::entry_from_sexpr(parse_sexpr(text));
-    EXPECT_EQ(service::entry_to_sexpr(back).to_string(), text);
+    const std::string text = entry_text(entry);
+    const service::CachedEntry back = entry_from_text(text);
+    EXPECT_EQ(entry_text(back), text);
 
     // The reconstructed kernel serves byte-identical artifacts...
     const CompiledKernel served =
@@ -324,6 +343,229 @@ TEST(Serialization, EntryRoundTripsByteForByte)
     const OutputComparison cmp = compare_outputs(run.outputs, want);
     ASSERT_TRUE(cmp.shapes_ok()) << cmp.shape_error;
     EXPECT_LE(cmp.max_abs_error, 1e-4f);
+
+    // Every Table-1 kernel at every width round-trips the same way.
+    int cases = 0;
+    for (const kernels::BenchmarkInstance& inst :
+         kernels::table1_instances()) {
+        for (const int width : {2, 4, 8, 16}) {
+            const std::string what =
+                inst.label() + " width " + std::to_string(width);
+            CompilerOptions o = test_options();
+            o.target.vector_width = width;
+            const CompileResult r = compile_kernel_resilient(inst.kernel, o);
+            ASSERT_TRUE(r.ok) << what;
+            const service::CachedEntry e = service::make_entry(
+                service::compute_cache_key(inst.kernel, o), o, *r.compiled);
+            const std::string e_text = entry_text(e);
+            const service::CachedEntry e_back = entry_from_text(e_text);
+            EXPECT_EQ(entry_text(e_back), e_text) << what;
+            const CompiledKernel s =
+                service::compiled_from_entry(inst.kernel, e_back);
+            EXPECT_EQ(s.c_source, r.compiled->c_source) << what;
+            EXPECT_EQ(asm_text(s, o), asm_text(*r.compiled, o)) << what;
+            EXPECT_EQ(s.report.extracted_cost,
+                      r.compiled->report.extracted_cost)
+                << what;
+            ++cases;
+        }
+    }
+    EXPECT_EQ(cases, 84);
+}
+
+/**
+ * One synthetic, fully populated entry for the golden wire and disk
+ * bytes below: strings that need every escape, empty strings, -0.0, a
+ * subnormal and a large float in the pool and in `fimm`, lane tables
+ * with trailing zeros and with all 16 lanes set, and several attempts.
+ */
+service::CachedEntry
+golden_entry()
+{
+    service::CachedEntry e;
+    e.key = CacheKey{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+    e.kernel_name = "golden \"kernel\" \\ v1";
+    e.vector_width = 16;
+    e.time_limit_seconds = 2.5;
+    e.fallback_level = 1;
+
+    CompileReport& r = e.report;
+    r.lift_seconds = 0.001;
+    r.saturation_seconds = 0.25;
+    r.extract_seconds = 5e-324;  // subnormal double
+    r.backend_seconds = 1e300;
+    r.total_seconds = -0.0;
+    r.spec_elements = 12;
+    r.spec_dag_nodes = 34;
+    r.egraph_nodes = 567;
+    r.egraph_classes = 89;
+    r.memory_proxy_bytes = 1048576;
+    r.runner_iterations = 7;
+    r.stop_reason = StopReason::kNodeLimit;
+    r.extracted_cost = 42.5;
+    r.lvn = {10, 2, 3, 5};
+    r.validation = Verdict::kEquivalent;
+    r.random_check_passed = false;
+    r.machine_validation = Verdict::kNotEquivalent;
+    r.machine_validated = true;
+    r.machine_witness = "lane 3:\t1.5 != \"2.5\"\n";
+    r.fallback_level = 1;
+    r.error = "rung 0: (timeout)\r\n\\";
+    r.strategy_name = "";
+    r.strategy_goal_satisfied = true;
+    r.attempts = {{0, "saturation \"timed out\"\n", FailureClass::kNone,
+                   0.125},
+                  {1, "", FailureClass::kNone, 0.5},
+                  {2, ";semicolon\t(paren", FailureClass::kNone, 3.0}};
+
+    e.c_source =
+        "void k(float* A) {\n\tA[0] = 1.0f; // \"q\" \\ (p) ;c\r\n}\n";
+    e.pool = {-0.0f, 1e-40f, 3.0e38f, 1.0f, 0.1f, 0.0f};
+
+    Program& p = e.machine;
+    p.num_int_regs = 3;
+    p.num_float_regs = 4;
+    p.num_vec_regs = 5;
+    Instr movi;
+    movi.op = Opcode::kFMovI;
+    movi.dst = 0;
+    movi.fimm = -0.0f;
+    Instr splat;
+    splat.op = Opcode::kVSplat;
+    splat.dst = 1;
+    splat.fimm = 1e-45f;
+    Instr big;
+    big.op = Opcode::kFMovI;
+    big.dst = 2;
+    big.fimm = 3.4e38f;
+    Instr shuf;
+    shuf.op = Opcode::kShuf;
+    shuf.dst = 2;
+    shuf.a = 1;
+    shuf.lanes[0] = 3;
+    shuf.lanes[2] = 1;  // lanes 3.. are trailing zeros
+    Instr sel;
+    sel.op = Opcode::kSel;
+    sel.dst = 3;
+    sel.a = 1;
+    sel.b = 2;
+    for (std::size_t k = 0; k < sel.lanes.size(); ++k) {
+        sel.lanes[k] = static_cast<std::int16_t>(31 - 2 * k);
+    }
+    Instr store;
+    store.op = Opcode::kVStore;
+    store.a = -1;
+    store.b = 3;
+    store.imm = -16;
+    Instr halt;
+    p.code = {movi, splat, big, shuf, sel, store, halt};
+    return e;
+}
+
+/** Generated from golden_entry() by the tree-based codec (format 3). */
+const char* const kGoldenPayload =
+    R"golden((compile-response (status ok) (retry-after-ms 0) (failure-class )golden"
+    R"golden(none) (error "warn: \"x\"\t\\\n") (entry (dios-cache-entry )golden"
+    R"golden((version 1) (key 0123456789abcdef fedcba9876543210) (kernel )golden"
+    R"golden("golden \"kernel\" \\ v1") (width 16) (time-limit 0x1.4p+1) )golden"
+    R"golden((fallback-level 1) (report (phases 0x1.0624dd2f1a9fcp-10 0x1p-2 )golden"
+    R"golden(0x0.0000000000001p-1022 0x1.7e43c8800759cp+996 -0x0p+0) (spec )golden"
+    R"golden(12 34) (egraph 567 89 1048576 7) (stop node-limit) (cost )golden"
+    R"golden(0x1.54p+5) (lvn 10 2 3 5) (validation equivalent 0) )golden"
+    R"golden((machine-validation NOT-equivalent 1 "lane 3:\t1.5 != )golden"
+    R"golden(\"2.5\"\n") (fallback 1 "rung 0: (timeout)\r\n\\") (strategy "" )golden"
+    R"golden(1) (attempts (0 0x1p-3 "saturation \"timed out\"\n") (1 0x1p-1 )golden"
+    R"golden("") (2 0x1.8p+1 ";semicolon\t(paren"))) (c-source "void )golden"
+    R"golden(k(float* A) {\n\tA[0] = 1.0f; // \"q\" \\ (p) ;c\r\n}\n") (pool )golden"
+    R"golden(-0x0p+0 0x1.16c2p-133 0x1.c363ccp+127 0x1p+0 0x1.99999ap-4 )golden"
+    R"golden(0x0p+0) (machine (regs 3 4 5) (code (fmovi 0 -1 -1 0 -0x0p+0 0) )golden"
+    R"golden((vsplat 1 -1 -1 0 0x1p-149 0) (fmovi 2 -1 -1 0 0x1.ff933cp+127 )golden"
+    R"golden(0) (shuf 2 1 -1 0 0x0p+0 3 3 0 1) (sel 3 1 2 0 0x0p+0 16 31 29 )golden"
+    R"golden(27 25 23 21 19 17 15 13 11 9 7 5 3 1) (vstore -1 -1 3 -16 )golden"
+    R"golden(0x0p+0 0) (halt -1 -1 -1 0 0x0p+0 0)))))))golden";
+
+const char* const kGoldenEnvelope = R"golden((dios-cache-envelope
+  (format-version 3)
+  (rule-set-version 1)
+  (checksum d037521bae607d09)
+  (payload
+    (dios-cache-entry
+      (version 1)
+      (key 0123456789abcdef fedcba9876543210)
+      (kernel "golden \"kernel\" \\ v1")
+      (width 16)
+      (time-limit 0x1.4p+1)
+      (fallback-level 1)
+      (report
+        (phases
+          0x1.0624dd2f1a9fcp-10
+          0x1p-2
+          0x0.0000000000001p-1022
+          0x1.7e43c8800759cp+996
+          -0x0p+0)
+        (spec 12 34)
+        (egraph 567 89 1048576 7)
+        (stop node-limit)
+        (cost 0x1.54p+5)
+        (lvn 10 2 3 5)
+        (validation equivalent 0)
+        (machine-validation NOT-equivalent 1 "lane 3:\t1.5 != \"2.5\"\n")
+        (fallback 1 "rung 0: (timeout)\r\n\\")
+        (strategy "" 1)
+        (attempts
+          (0 0x1p-3 "saturation \"timed out\"\n")
+          (1 0x1p-1 "")
+          (2 0x1.8p+1 ";semicolon\t(paren")))
+      (c-source "void k(float* A) {\n\tA[0] = 1.0f; // \"q\" \\ (p) ;c\r\n}\n")
+      (pool -0x0p+0 0x1.16c2p-133 0x1.c363ccp+127 0x1p+0 0x1.99999ap-4 0x0p+0)
+      (machine
+        (regs 3 4 5)
+        (code
+          (fmovi 0 -1 -1 0 -0x0p+0 0)
+          (vsplat 1 -1 -1 0 0x1p-149 0)
+          (fmovi 2 -1 -1 0 0x1.ff933cp+127 0)
+          (shuf 2 1 -1 0 0x0p+0 3 3 0 1)
+          (sel 3 1 2 0 0x0p+0 16 31 29 27 25 23 21 19 17 15 13 11 9 7 5 3 1)
+          (vstore -1 -1 3 -16 0x0p+0 0)
+          (halt -1 -1 -1 0 0x0p+0 0))))))
+)golden";
+
+const char* const kGoldenChecksum = "d037521bae607d09";
+
+
+TEST(Serialization, GoldenWireAndEnvelopeBytes)
+{
+    const service::CachedEntry entry = golden_entry();
+    daemon::CompileResponse resp;
+    resp.status = daemon::ResponseStatus::kOk;
+    resp.error = "warn: \"x\"\t\\\n";
+    resp.entry = entry;
+    const std::string payload = daemon::encode_compile_response(resp);
+    EXPECT_EQ(payload, kGoldenPayload);
+
+    TempDir dir("golden");
+    service::DiskCache disk(dir.str());
+    disk.store(entry);
+    std::ifstream in(disk.path_for(entry.key), std::ios::binary);
+    std::ostringstream file;
+    file << in.rdbuf();
+    EXPECT_EQ(file.str(), kGoldenEnvelope);
+
+    // The checksum covers the entry's canonical flat rendering: exactly
+    // the bytes the wire carries inside `(entry ...)`.
+    const std::size_t at = payload.find("(dios-cache-entry ");
+    ASSERT_NE(at, std::string::npos);
+    const std::string flat = payload.substr(at, payload.size() - at - 2);
+    EXPECT_EQ(hash_hex(stable_hash_string(flat)), kGoldenChecksum);
+
+    // Both readers accept the golden bytes and reproduce them.
+    const daemon::CompileResponse decoded =
+        daemon::decode_compile_response(kGoldenPayload);
+    EXPECT_EQ(daemon::encode_compile_response(decoded), kGoldenPayload);
+    const service::LoadResult loaded = disk.load(entry.key);
+    ASSERT_EQ(loaded.status, service::LoadStatus::kHit) << loaded.detail;
+    resp.entry = loaded.entry;
+    EXPECT_EQ(daemon::encode_compile_response(resp), kGoldenPayload);
 }
 
 TEST(Serialization, VersionMismatchRejected)

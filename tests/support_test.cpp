@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "support/error.h"
 #include "support/hash.h"
@@ -78,9 +80,108 @@ TEST(Sexpr, PrettyPrintWrapsLongForms)
                                    std::to_string(i) + ")"));
     }
     const Sexpr s = Sexpr::list(kids);
-    const std::string pretty = s.to_pretty_string(40);
+    const std::string flat = s.to_string();
+    const std::string pretty = SexprDoc(flat).root().to_pretty_string(40);
     EXPECT_NE(pretty.find('\n'), std::string::npos);
     EXPECT_EQ(parse_sexpr(pretty), s);
+}
+
+TEST(Sexpr, PrettyPrintKeepsShortListsFlatAndIndentsTheRest)
+{
+    const std::string text = "(outer (a b) (inner \"x y\" (deep 1 2 3)) z)";
+    EXPECT_EQ(SexprDoc(text).root().to_pretty_string(79), text);
+    EXPECT_EQ(SexprDoc(text).root().to_pretty_string(20),
+              "(outer\n"
+              "  (a b)\n"
+              "  (inner\n"
+              "    \"x y\"\n"
+              "    (deep 1 2 3))\n"
+              "  z)");
+}
+
+TEST(SexprWriter, MatchesTreeRenderingIncludingQuoting)
+{
+    std::string out;
+    SexprWriter w(out);
+    w.open("entry")
+        .atom("plain")
+        .atom("")
+        .atom("a b\t\"q\"\\\n\r;(x)")
+        .i64(-42)
+        .u64(18446744073709551615ULL)
+        .f64(1.5)
+        .f64(-0.0)
+        .f64(0.0)
+        .f64(5e-324)
+        .open()
+        .close()
+        .close();
+    const Sexpr tree = Sexpr::list(
+        {Sexpr::atom("entry"), Sexpr::atom("plain"), Sexpr::string_atom(""),
+         Sexpr::string_atom("a b\t\"q\"\\\n\r;(x)"), Sexpr::atom("-42"),
+         Sexpr::atom("18446744073709551615"), Sexpr::atom("0x1.8p+0"),
+         Sexpr::atom("-0x0p+0"), Sexpr::atom("0x0p+0"),
+         Sexpr::atom("0x0.0000000000001p-1022"), Sexpr::list({})});
+    EXPECT_EQ(out, tree.to_string());
+    EXPECT_EQ(parse_sexpr(out), tree);
+}
+
+TEST(SexprDoc, ViewReadsLikeTheTree)
+{
+    const std::string text =
+        "; comment\n(head \"esc\\\"aped\" \"plain\" \"\" -7 +3 0x1p-2 x1\n"
+        "  (nested (deeper)) ())  \n";
+    const SexprDoc doc(text);
+    ASSERT_EQ(doc.root_count(), 1u);
+    const SexprDoc::View root = doc.root();
+    ASSERT_TRUE(root.is_list());
+    ASSERT_EQ(root.size(), 10u);
+    EXPECT_TRUE(root.has_head("head"));
+    EXPECT_FALSE(root.has_head("nested"));
+    EXPECT_EQ(root[1].token(), "esc\"aped");
+    EXPECT_EQ(root[2].token(), "plain");
+    EXPECT_EQ(root[3].token(), "");
+    EXPECT_EQ(root[4].as_integer(), -7);
+    EXPECT_EQ(root[5].as_integer(), 3);
+    EXPECT_FALSE(root[6].is_integer());
+    EXPECT_DOUBLE_EQ(root[6].as_number(), 0.25);
+    EXPECT_FALSE(root[7].is_number());
+    EXPECT_TRUE(root[8].is_list());
+    EXPECT_EQ(root[8][1].size(), 1u);
+    EXPECT_EQ(root[9].size(), 0u);
+    EXPECT_FALSE(root[9].is_integer());
+    // The canonical rendering is the tree's.
+    EXPECT_EQ(root.to_string(), parse_sexpr(text).to_string());
+    EXPECT_EQ(root[8].to_string(), "(nested (deeper))");
+
+    const SexprDoc seq = SexprDoc::sequence("(a) b ; c\n (d e)");
+    ASSERT_EQ(seq.root_count(), 3u);
+    EXPECT_EQ(seq.root(2).to_string(), "(d e)");
+    EXPECT_EQ(SexprDoc::sequence("  ; nothing\n").root_count(), 0u);
+}
+
+TEST(SexprDoc, NestingCapRaisesUserErrorNotAStackOverflow)
+{
+    auto nested = [](std::size_t depth) {
+        return std::string(depth, '(') + std::string(depth, ')');
+    };
+    const std::string deepest = nested(kMaxSexprDepth);
+    const std::string too_deep = nested(kMaxSexprDepth + 1);
+    EXPECT_NO_THROW(parse_sexpr(deepest));
+    EXPECT_THROW(parse_sexpr(too_deep), UserError);
+    EXPECT_THROW(SexprDoc{too_deep}, UserError);
+    EXPECT_THROW(parse_sexpr_list("(a) " + too_deep), UserError);
+    // A million unclosed parens: the recursive parser this replaced
+    // overflowed the stack here.
+    const std::string million(1'000'000, '(');
+    EXPECT_THROW(parse_sexpr(million), UserError);
+    EXPECT_THROW(SexprDoc{million}, UserError);
+
+    // The writers walk the deepest accepted document without recursion
+    // trouble; one child per level never wraps.
+    const SexprDoc doc(deepest);
+    EXPECT_EQ(doc.root().to_string(), deepest);
+    EXPECT_EQ(doc.root().to_pretty_string(), deepest);
 }
 
 TEST(Rational, NormalizesOnConstruction)
