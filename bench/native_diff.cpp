@@ -43,6 +43,7 @@
 #include "kernels/kernels.h"
 #include "machine/emit_c.h"
 #include "scalar/interp.h"
+#include "support/json.h"
 
 namespace diospyros {
 namespace {
@@ -300,19 +301,6 @@ time_ns(KernelFn fn, float* buf)
         }
         reps *= 4;
     }
-}
-
-std::string
-json_escape(const std::string& s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 struct CaseResult {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "analysis/audit_egraph.h"
 #include "analysis/verify_machine.h"
@@ -143,86 +144,38 @@ audit_egraph_or_throw(const EGraph& graph, const CostModel& cost,
                     ":\n" + diags.render_text());
 }
 
-/** The full pipeline, sharing the caller's compile-wide deadline. */
-CompiledKernel
-compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
-                      const Deadline& deadline)
+/**
+ * Phase 1 of every rung: symbolic evaluation (lifting) and alignment
+ * padding. Returns the padded output slots the backend lowers into.
+ */
+std::vector<vir::OutputSlot>
+lift_and_pad(CompiledKernel& out, const scalar::Kernel& kernel, int width)
 {
-    options.sync();
-    check_vector_width(options.target.vector_width);
-    const int width = options.target.vector_width;
-
-    CompiledKernel out;
-    out.kernel = kernel;
-    Timer total;
-
-    // Phase 1: symbolic evaluation (lifting) + alignment padding.
-    deadline.check("lifting");
     Timer phase;
+    out.kernel = kernel;
     out.spec = scalar::lift(kernel);
     auto [padded, slots] = pad_lifted_spec(out.spec, width);
     out.padded_spec = padded;
     out.report.lift_seconds = phase.elapsed_seconds();
     out.report.spec_elements = padded->arity();
     out.report.spec_dag_nodes = Term::dag_size(padded);
+    return slots;
+}
 
-    // Phase 2: equality saturation. The runner stops gracefully at the
-    // deadline (partial e-graphs are usable, §5.5); the per-phase
-    // checkpoints below turn an exhausted budget into DeadlineExceeded.
-    phase.reset();
-    EGraph graph;
-    const ClassId root = graph.add_term(padded);
-    graph.rebuild();
-    const std::vector<Rewrite> rules = build_rules(options.rules);
-    if (options.strategy) {
-        strategy::StrategyRunOptions sro;
-        sro.base = options.limits;
-        sro.deadline = deadline;
-        const strategy::StrategyReport sr = strategy::run_strategy(
-            graph, root, rules, *options.strategy, sro);
-        out.report.stop_reason = sr.stop_reason;
-        out.report.runner_iterations = sr.iterations;
-        out.report.rule_stats = sr.rule_stats;
-        out.report.strategy_name = sr.strategy_name;
-        out.report.strategy_phases = sr.phases;
-        out.report.strategy_goal_satisfied = sr.goal_satisfied;
-        for (const strategy::PhaseReport& p : sr.phases) {
-            out.report.iterations.insert(out.report.iterations.end(),
-                                         p.runner.iterations.begin(),
-                                         p.runner.iterations.end());
-        }
-    } else {
-        Runner runner(options.limits);
-        const RunnerReport rr = runner.run(graph, rules, deadline);
-        out.report.stop_reason = rr.stop_reason;
-        out.report.runner_iterations = rr.iterations.size();
-        out.report.iterations = rr.iterations;
-        out.report.rule_stats = rr.rule_stats;
-    }
-    out.report.saturation_seconds = phase.elapsed_seconds();
-    out.report.egraph_nodes = graph.num_nodes();
-    out.report.egraph_classes = graph.num_classes();
-    out.report.memory_proxy_bytes = graph.memory_proxy_bytes();
+/**
+ * The backend of every rung: lower `out.extracted`, LVN, instruction
+ * selection and scheduling, then the C intrinsics text, with the VIR
+ * and machine gates in between when enabled.
+ */
+void
+run_backend(CompiledKernel& out, const CompilerOptions& options,
+            const std::vector<vir::OutputSlot>& slots,
+            const Deadline& deadline)
+{
+    Timer phase;
+    const scalar::Kernel& kernel = out.kernel;
+    const int width = options.target.vector_width;
     const bool gates = gates_enabled(options);
-
-    // Phase 3: extraction (checks the deadline per relaxation pass).
-    phase.reset();
-    deadline.check("extraction");
-    const DiosCostModel cost(options.cost, width);
-    if (gates) {
-        audit_egraph_or_throw(graph, cost, nullptr, "saturation");
-    }
-    const Extractor extractor(graph, cost, deadline);
-    Extraction best = extractor.extract(graph.find(root));
-    out.extracted = best.term;
-    out.report.extracted_cost = best.cost;
-    out.report.extract_seconds = phase.elapsed_seconds();
-    if (gates) {
-        audit_egraph_or_throw(graph, cost, &extractor, "extraction");
-    }
-
-    // Phase 4: backend — lower, LVN, instruction selection, C source.
-    phase.reset();
     deadline.check("lowering");
     out.vprogram = vir::lower_term(out.extracted, width, slots,
                                    options.target.has_scalar_mac);
@@ -250,6 +203,67 @@ compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
     emit_and_verify(out, options, slots, deadline);
     out.c_source = vir::to_c_intrinsics(out.vprogram, kernel.name);
     out.report.backend_seconds = phase.elapsed_seconds();
+}
+
+/** The full pipeline, sharing the caller's compile-wide deadline. */
+CompiledKernel
+compile_with_deadline(const scalar::Kernel& kernel, CompilerOptions options,
+                      const Deadline& deadline)
+{
+    options.sync();
+    check_vector_width(options.target.vector_width);
+    const int width = options.target.vector_width;
+
+    CompiledKernel out;
+    Timer total;
+    deadline.check("lifting");
+    const std::vector<vir::OutputSlot> slots =
+        lift_and_pad(out, kernel, width);
+
+    // Phase 2: equality saturation. The runner stops gracefully at the
+    // deadline (partial e-graphs are usable, §5.5); the per-phase
+    // checkpoints below turn an exhausted budget into DeadlineExceeded.
+    Timer phase;
+    EGraph graph;
+    const ClassId root = graph.add_term(out.padded_spec);
+    graph.rebuild();
+    strategy::StrategyReport sr = saturate(
+        graph, root, build_rules(options.rules), options, deadline);
+    out.report.stop_reason = sr.stop_reason;
+    out.report.runner_iterations = sr.iterations;
+    out.report.rule_stats = std::move(sr.rule_stats);
+    out.report.strategy_name = std::move(sr.strategy_name);
+    out.report.strategy_goal_satisfied = sr.goal_satisfied;
+    for (const strategy::PhaseReport& p : sr.phases) {
+        out.report.iterations.insert(out.report.iterations.end(),
+                                     p.runner.iterations.begin(),
+                                     p.runner.iterations.end());
+    }
+    out.report.strategy_phases = std::move(sr.phases);
+    out.report.saturation_seconds = phase.elapsed_seconds();
+    out.report.egraph_nodes = graph.num_nodes();
+    out.report.egraph_classes = graph.num_classes();
+    out.report.memory_proxy_bytes = graph.memory_proxy_bytes();
+    const bool gates = gates_enabled(options);
+
+    // Phase 3: extraction (checks the deadline per relaxation pass).
+    phase.reset();
+    deadline.check("extraction");
+    const DiosCostModel cost(options.cost, width);
+    if (gates) {
+        audit_egraph_or_throw(graph, cost, nullptr, "saturation");
+    }
+    const Extractor extractor(graph, cost, deadline);
+    Extraction best = extractor.extract(graph.find(root));
+    out.extracted = best.term;
+    out.report.extracted_cost = best.cost;
+    out.report.extract_seconds = phase.elapsed_seconds();
+    if (gates) {
+        audit_egraph_or_throw(graph, cost, &extractor, "extraction");
+    }
+
+    // Phase 4: backend — lower, LVN, instruction selection, C source.
+    run_backend(out, options, slots, deadline);
 
     // Phase 5 (optional): translation validation, which checks the
     // deadline per output element.
@@ -279,50 +293,16 @@ compile_direct(const scalar::Kernel& kernel, CompilerOptions options)
 {
     options.sync();
     check_vector_width(options.target.vector_width);
-    const int width = options.target.vector_width;
 
     CompiledKernel out;
-    out.kernel = kernel;
     Timer total;
-
-    Timer phase;
-    out.spec = scalar::lift(kernel);
-    auto [padded, slots] = pad_lifted_spec(out.spec, width);
-    out.padded_spec = padded;
-    out.report.lift_seconds = phase.elapsed_seconds();
-    out.report.spec_elements = padded->arity();
-    out.report.spec_dag_nodes = Term::dag_size(padded);
+    const std::vector<vir::OutputSlot> slots =
+        lift_and_pad(out, kernel, options.target.vector_width);
 
     // No saturation ran: a zero iteration budget stopped the "search".
     out.report.stop_reason = StopReason::kIterLimit;
     out.extracted = out.padded_spec;
-
-    phase.reset();
-    const bool gates = gates_enabled(options);
-    out.vprogram = vir::lower_term(out.extracted, width, slots,
-                                   options.target.has_scalar_mac);
-    if (gates) {
-        verify_vir_or_throw(kernel, out.vprogram, "lowering");
-    }
-    std::vector<analysis::StoreSig> stores_before;
-    if (gates) {
-        stores_before = analysis::store_signature(out.vprogram);
-    }
-    out.report.lvn = vir::run_lvn(out.vprogram);
-    if (gates) {
-        analysis::DiagEngine diags;
-        analysis::verify_vprogram(
-            out.vprogram, diags,
-            analysis::padded_extents(kernel, width));
-        analysis::check_store_order(stores_before, out.vprogram, diags);
-        DIOS_ASSERT(!diags.has_errors(),
-                    "VIR verifier rejected the program after LVN:\n" +
-                        diags.render_text());
-    }
-    out.layout = vir::CompiledLayout::make(kernel, width);
-    emit_and_verify(out, options, slots, Deadline{});  // deadline-exempt
-    out.c_source = vir::to_c_intrinsics(out.vprogram, kernel.name);
-    out.report.backend_seconds = phase.elapsed_seconds();
+    run_backend(out, options, slots, Deadline{});  // deadline-exempt
 
     // The optimized term is pointer-identical to the spec, so both
     // verifications hold trivially — record them without re-deriving.
@@ -369,10 +349,8 @@ rung_options(const CompilerOptions& base, int level)
     return o;
 }
 
-/**
- * The compile-wide budget: the relative `deadline_seconds` intersected
- * with the absolute deadline a service may have attached at admission.
- */
+}  // namespace
+
 Deadline
 effective_deadline(const CompilerOptions& options)
 {
@@ -383,7 +361,19 @@ effective_deadline(const CompilerOptions& options)
     return Deadline::sooner(relative, options.absolute_deadline);
 }
 
-}  // namespace
+strategy::StrategyReport
+saturate(EGraph& graph, ClassId root, const std::vector<Rewrite>& rules,
+         const CompilerOptions& options, const Deadline& deadline)
+{
+    static const strategy::Strategy kDefault = strategy::builtin_default();
+    strategy::StrategyRunOptions sro;
+    sro.base = options.limits;
+    sro.deadline = deadline;
+    return strategy::run_strategy(graph, root, rules,
+                                  options.strategy ? *options.strategy
+                                                   : kDefault,
+                                  sro);
+}
 
 const char*
 failure_class_name(FailureClass c)

@@ -123,10 +123,10 @@ struct CompilerOptions {
     bool verify_machine = false;
     /**
      * Saturation strategy (strategy/strategy.h). Disengaged (the
-     * default), saturation is the legacy monolithic `Runner::run` under
-     * `limits`. Engaged, the strategy's phases run over the shared
-     * e-graph with `limits` as the base budget every phase tightens
-     * into. The degradation ladder keeps the strategy on rung 1 (the
+     * default), saturation runs the built-in "default" strategy: one
+     * phase with all rules, the monolithic run under `limits`. Engaged,
+     * the strategy's phases run over the shared e-graph with `limits`
+     * as the base budget every phase tightens into. The degradation ladder keeps the strategy on rung 1 (the
      * reduced base limits clamp each phase) and drops it from rung 2 on
      * (vector rules are off there, so phase rule subsets would no
      * longer resolve). Folded into the service cache key via its
@@ -206,14 +206,17 @@ struct CompileReport {
      * search/apply wall-clock. Surfaced via `dioscc --json`.
      */
     std::vector<RuleStats> rule_stats;
-    /** Strategy that drove saturation ("" = legacy monolithic run). */
+    /**
+     * Strategy that drove saturation: "default" when none was set, ""
+     * on the direct rung (no saturation ran).
+     */
     std::string strategy_name;
     /**
-     * Per-phase reports when a strategy drove saturation (else empty) —
-     * the `phases` array of `dioscc --json`.
+     * Per-phase reports of the saturation run — the `phases` array of
+     * `dioscc --json`. Live runs only: empty on cache hits.
      */
     std::vector<strategy::PhaseReport> strategy_phases;
-    /** The strategy goal sketch was satisfied (strategy runs only). */
+    /** The strategy goal sketch was satisfied (false without a goal). */
     bool strategy_goal_satisfied = false;
     double extracted_cost = 0.0;
     vir::LvnStats lvn;
@@ -318,6 +321,26 @@ struct CompileResult {
  */
 CompileResult compile_kernel_resilient(const scalar::Kernel& kernel,
                                        CompilerOptions options = {});
+
+/**
+ * The compile-wide budget: the relative `options.deadline_seconds`
+ * intersected with `options.absolute_deadline`.
+ */
+Deadline effective_deadline(const CompilerOptions& options);
+
+/**
+ * Equality saturation as every compile runs it: `options.strategy`, or
+ * the built-in "default" strategy (one phase, all rules — the monolithic
+ * run) when none is set, over `graph` from the spec root `root`, with
+ * `options.limits` as the base budget. `options` is not modified, so
+ * the cache key of a compile without a strategy stays the same. Throws
+ * UserError when a strategy's rule references do not resolve against
+ * `rules`.
+ */
+strategy::StrategyReport saturate(EGraph& graph, ClassId root,
+                                  const std::vector<Rewrite>& rules,
+                                  const CompilerOptions& options,
+                                  const Deadline& deadline);
 
 /**
  * Shape-checked comparison of simulated outputs against a reference.

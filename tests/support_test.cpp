@@ -1,4 +1,5 @@
-// Unit tests for the support layer: s-expressions, rationals, RNG, hashing.
+// Unit tests for the support layer: s-expressions, rationals, RNG, hashing,
+// JSON escaping.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "support/error.h"
 #include "support/hash.h"
+#include "support/json.h"
 #include "support/rational.h"
 #include "support/rng.h"
 #include "support/sexpr.h"
@@ -281,6 +283,21 @@ TEST(Error, CheckMacroThrowsUserError)
     EXPECT_THROW(DIOS_CHECK(false, "bad input"), UserError);
     EXPECT_NO_THROW(DIOS_CHECK(true, "ok"));
     EXPECT_THROW(DIOS_ASSERT(false, "bug"), InternalError);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters)
+{
+    EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+    EXPECT_EQ(json_escape("line 1\nline 2"), "line 1\\nline 2");
+    EXPECT_EQ(json_escape("a\tb"), "a\\tb");
+    EXPECT_EQ(json_escape("a\rb"), "a\\u000db");
+    EXPECT_EQ(json_escape("a\x01" "b"), "a\\u0001b");
+    EXPECT_EQ(json_escape(std::string("nul\0", 4)), "nul\\u0000");
+    // UTF-8 sequences and the rest of printable ASCII pass through.
+    EXPECT_EQ(json_escape("\u00e9t\u00e9 \u2192 ok/"),
+              "\u00e9t\u00e9 \u2192 ok/");
+    EXPECT_EQ(json_escape(""), "");
 }
 
 }  // namespace

@@ -61,7 +61,9 @@
  *                   machine/emit_c.h)
  *   --emit-asm      print the scheduled DSP assembly
  *   --emit-spec     print the lifted specification
- *   --emit-dot FILE write the saturated e-graph as Graphviz (debugging)
+ *   --emit-dot FILE write the e-graph as Graphviz (debugging): saturation
+ *                   re-run exactly as the full-pipeline compile ran it
+ *                   (same strategy, limits and deadline)
  *   --json          print the compile report as a JSON object
  *   --run           run on random inputs and compare with the baselines
  *   --seed N        RNG seed for --run (default 1)
@@ -106,30 +108,23 @@
  *   JSON carries "cache":"shed"/"breaker-open"/"negative-hit", the
  *   retry hint in "retry_after_ms", and per-kernel "queue_wait_ms".
  *
- * Daemon mode (DESIGN.md §5j):
- *   --serve SOCK    run as a compile daemon on Unix socket SOCK (the
- *                   in-tool equivalent of the standalone diosd binary;
- *                   combines with --jobs/--cache-dir/admission flags).
- *                   SIGINT/SIGTERM drain gracefully and print the final
- *                   metrics document
- *   --remote SOCK   compile via a daemon at SOCK instead of in-process
- *                   (single-kernel and --batch). Retries under bounded
- *                   exponential backoff with jitter, honours shed
+ * Remote mode (DESIGN.md §5j; serve with the standalone diosd binary):
+ *   --remote SOCK   compile via a diosd daemon at SOCK instead of
+ *                   in-process (single-kernel and --batch). Retries under
+ *                   bounded exponential backoff with jitter, honours shed
  *                   retry_after_ms hints, and replays torn requests
  *                   against the daemon's dedup table. If the daemon
  *                   stays unreachable, falls back to a local in-process
  *                   compile ("cache":"local-fallback" in --json) — the
  *                   bytes of a successful result never depend on the
  *                   transport
- *   --read-deadline-s S   (--serve) drop connections idle or mid-frame
- *                   for S seconds (default 30)
- *   --drain-deadline-s S  (--serve) escalate a graceful drain to shed
- *                   after S seconds (default 10)
  */
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,25 +133,21 @@
 #include <csignal>
 #include <fstream>
 #include <sstream>
-#include <thread>
-
-#include <unistd.h>
 
 #include "analysis/diagnostics.h"
 #include "daemon/client.h"
-#include "daemon/daemon.h"
 #include "analysis/lint_rules.h"
 #include "analysis/verify_machine.h"
 #include "compiler/driver.h"
 #include "machine/emit_c.h"
 #include "service/compile_service.h"
-#include "egraph/runner.h"
 #include "rules/rules.h"
 #include "scalar/lower.h"
 #include "scalar/parse.h"
 #include "strategy/parse.h"
 #include "strategy/strategy.h"
 #include "support/faults.h"
+#include "support/json.h"
 #include "support/numeric.h"
 #include "support/rng.h"
 
@@ -190,10 +181,6 @@ struct CliOptions {
     std::size_t shed_watermark = 0;
     /** Remote mode: compile via a diosd daemon at this socket. */
     std::string remote_socket;
-    /** Serve mode: run a diosd daemon on this socket until a signal. */
-    std::string serve_socket;
-    double read_deadline_seconds = 30.0;
-    double drain_deadline_seconds = 10.0;
 };
 
 [[noreturn]] void
@@ -213,8 +200,7 @@ usage(const char* argv0)
                  "[--cache-disk-budget BYTES] [--io-retries N] "
                  "[--priority interactive|batch|background] "
                  "[--submit-timeout-ms N] [--neg-cache-ttl-s S] "
-                 "[--shed-watermark N] [--remote SOCK] [--serve SOCK] "
-                 "[--read-deadline-s S] [--drain-deadline-s S]\n",
+                 "[--shed-watermark N] [--remote SOCK]\n",
                  argv0);
     std::exit(2);
 }
@@ -336,14 +322,6 @@ parse_cli(int argc, char** argv)
                 require_nonnegative_integer(arg, next_arg(i)));
         } else if (arg == "--remote") {
             cli.remote_socket = next_arg(i);
-        } else if (arg == "--serve") {
-            cli.serve_socket = next_arg(i);
-        } else if (arg == "--read-deadline-s") {
-            cli.read_deadline_seconds =
-                require_positive_number(arg, next_arg(i));
-        } else if (arg == "--drain-deadline-s") {
-            cli.drain_deadline_seconds =
-                require_nonnegative_number(arg, next_arg(i));
         } else if (arg == "--seed") {
             cli.seed = static_cast<std::uint64_t>(
                 require_nonnegative_integer(arg, next_arg(i)));
@@ -375,39 +353,6 @@ random_inputs(const scalar::Kernel& kernel, std::uint64_t seed)
             v = rng.uniform_float(-2.0f, 2.0f);
         }
         out.emplace(decl.name.str(), std::move(data));
-    }
-    return out;
-}
-
-/** JSON-escapes a string (quotes, backslashes, control characters). */
-std::string
-json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
     }
     return out;
 }
@@ -567,8 +512,8 @@ read_manifest(const std::string& path)
 }
 
 // ---------------------------------------------------------------------------
-// Signal handling (--batch / --serve): a Ctrl-C or SIGTERM must drain
-// the service and still flush ONE well-formed --json document.
+// Signal handling (--batch): a Ctrl-C or SIGTERM must drain the service
+// and still flush ONE well-formed --json document.
 // ---------------------------------------------------------------------------
 
 std::atomic<bool> g_interrupted{false};
@@ -611,280 +556,327 @@ remote_metrics_json(const daemon::ClientCounters& counters)
     return m.to_json();
 }
 
-/**
- * --batch --remote driver: every manifest kernel through one diosd
- * connection, falling back to local in-process compilation for any
- * request the daemon could not serve. Same output contract as the
- * local batch driver.
- */
-int
-run_batch_remote(const CliOptions& cli)
+/** Rejects flag combinations no compile path honours, before any work. */
+void
+check_flag_combinations(const CliOptions& cli)
 {
-    install_stop_handlers();
-    std::FILE* info = cli.json ? stderr : stdout;
-    const std::vector<std::string> paths = read_manifest(cli.batch_path);
-
-    daemon::RemoteOptions ropts;
-    ropts.socket_path = cli.remote_socket;
-    ropts.jitter_seed = cli.seed;
-    daemon::RemoteClient client(ropts);
-
-    bool any_user_error = false;
-    if (cli.json) {
-        std::printf("[");
+    if (!cli.batch_path.empty()) {
+        DIOS_CHECK(!cli.strict && !cli.run && !cli.emit_c &&
+                       !cli.emit_native && !cli.emit_asm &&
+                       !cli.emit_spec && cli.dot_path.empty() &&
+                       cli.path.empty(),
+                   "--batch combines only with --json, --jobs, --cache-dir, "
+                   "--cache-disk-budget, --remote, the admission flags, "
+                   "and compiler options");
     }
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-        if (cli.json && i > 0) {
-            std::printf(",");
+    DIOS_CHECK(cli.remote_socket.empty() || !cli.strict,
+               "--remote and --strict do not combine: the strict path is "
+               "local by definition");
+}
+
+/** How one kernel's compile came out, whichever path produced it. */
+struct KernelOutcome {
+    /** The kernel's name, or its path when it did not parse. */
+    std::string name;
+    /** `compiled` is engaged iff `ok`. */
+    CompileResult result;
+    /** The --json "cache" label: none, miss, hit, remote, ... */
+    const char* cache = "none";
+    /** Service paths: the cache outcome ("disk-hit", ...). */
+    const char* service_cache = nullptr;
+    double queue_wait_ms = 0.0;
+    std::uint64_t retry_after_ms = 0;
+};
+
+/**
+ * The compile path of one dioscc run, shared by all its kernels: a diosd
+ * daemon (compiling locally when it stays unreachable), the raw pipeline
+ * (--strict), the compile service (--batch, --cache-dir), or a plain
+ * resilient compile. start() parses a kernel and, on the service,
+ * submits it, so the workers run while later kernels are still being
+ * read; finish() waits for the result.
+ */
+class KernelCompiler {
+  public:
+    struct Job {
+        std::string path;
+        std::optional<scalar::Kernel> kernel;
+        /** --remote: the kernel text shipped to the daemon. */
+        std::string text;
+        /** Why the kernel could not be started (a user error). */
+        std::string error;
+        std::optional<service::Ticket> ticket;
+    };
+
+    KernelCompiler(const CliOptions& cli, std::size_t kernels) : cli_(cli)
+    {
+        const bool batch = !cli.batch_path.empty();
+        // A human at the keyboard is the definition of interactive.
+        priority_ = cli.priority_set ? cli.priority
+                    : batch          ? service::Priority::kBatch
+                                     : service::Priority::kInteractive;
+        if (!cli.remote_socket.empty()) {
+            daemon::RemoteOptions ropts;
+            ropts.socket_path = cli.remote_socket;
+            ropts.jitter_seed = cli.seed;
+            remote_.emplace(ropts);
+        } else if (!cli.strict && (batch || !cli.cache_dir.empty())) {
+            // The service serves a warm --cache-dir run from the
+            // persistent cache instead of re-saturating.
+            service::CompileService::Options sopts;
+            sopts.jobs = cli.jobs;
+            sopts.cache_dir = cli.cache_dir;
+            sopts.disk_budget_bytes = cli.cache_disk_budget;
+            // Room for every kernel: submit never blocks here.
+            sopts.queue_capacity =
+                std::max(sopts.queue_capacity, kernels + 1);
+            sopts.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
+            sopts.shed_watermark = cli.shed_watermark;
+            service_.emplace(sopts);
         }
-        if (g_interrupted.load()) {
-            // Flush the remainder as structured interruptions; the
-            // array still closes and parses.
-            if (cli.json) {
-                print_json_failure(paths[i], "interrupted by signal",
-                                   /*user_error=*/false, "none");
-            }
-            std::fprintf(stderr, "dioscc: interrupted: %s skipped\n",
-                         paths[i].c_str());
-            continue;
-        }
-        std::string name = paths[i];
+    }
+
+    Job
+    start(const std::string& path)
+    {
+        Job job;
+        job.path = path;
         try {
-            const scalar::Kernel kernel =
-                scalar::parse_kernel_file(paths[i]);
-            name = kernel.name;
-            daemon::CompileRequest req;
-            req.kernel_name = kernel.name;
-            req.kernel_text = slurp_file(paths[i]);
-            req.options = cli.compiler;
-            req.priority = cli.priority_set ? cli.priority
-                                            : service::Priority::kBatch;
-            req.submit_timeout_seconds = cli.submit_timeout_seconds;
-            const std::optional<daemon::CompileResponse> resp =
-                client.compile(req);
-            if (resp && resp->status == daemon::ResponseStatus::kOk) {
-                const CompiledKernel compiled = service::compiled_from_entry(
-                    kernel, *resp->entry);
-                std::fprintf(info, "; [remote] %s\n",
-                             report_row(name, compiled.report).c_str());
-                if (cli.json) {
-                    print_json_object(name, compiled.report, "remote");
-                }
-            } else if (resp) {
-                any_user_error = any_user_error ||
-                                 resp->failure_class == FailureClass::kUser;
-                std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                             name.c_str(), resp->error.c_str());
-                if (cli.json) {
-                    print_json_failure(
-                        name, resp->error,
-                        resp->failure_class == FailureClass::kUser,
-                        "remote", 0.0, resp->retry_after_ms);
-                }
-            } else {
-                // Daemon unreachable (or kept shedding): local fallback.
-                // Same pipeline, same bytes — only the worker moved.
-                const CompileResult result =
-                    compile_kernel_resilient(kernel, cli.compiler);
-                if (result.ok) {
-                    std::fprintf(
-                        info, "; [local-fallback] %s\n",
-                        report_row(name, result.report()).c_str());
-                    if (cli.json) {
-                        print_json_object(name, result.report(),
-                                          "local-fallback");
-                    }
-                } else {
-                    any_user_error = any_user_error || result.user_error;
-                    std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                                 name.c_str(), result.error.c_str());
-                    if (cli.json) {
-                        print_json_failure(name, result.error,
-                                           result.user_error,
-                                           "local-fallback");
-                    }
-                }
+            job.kernel = scalar::parse_kernel_file(path);
+            if (remote_) {
+                job.text = slurp_file(path);
+            }
+            if (service_) {
+                service::SubmitOptions subopts;
+                subopts.priority = priority_;
+                subopts.submit_timeout_seconds = cli_.submit_timeout_seconds;
+                job.ticket =
+                    service_->submit(*job.kernel, cli_.compiler, subopts);
             }
         } catch (const UserError& e) {
-            any_user_error = true;
-            std::fprintf(stderr, "dioscc: error: %s: %s\n", name.c_str(),
-                         e.what());
-            if (cli.json) {
-                print_json_failure(name, e.what(), /*user_error=*/true,
-                                   "none");
+            job.error = e.what();
+        }
+        return job;
+    }
+
+    KernelOutcome
+    finish(Job& job)
+    {
+        KernelOutcome out;
+        out.name = job.kernel ? job.kernel->name : job.path;
+        if (!job.error.empty()) {
+            out.result.error = job.error;
+            out.result.user_error = true;
+            out.result.failure_class = FailureClass::kUser;
+        } else if (job.ticket) {
+            wait(*job.ticket);
+            out.result = job.ticket->get();
+            const service::CacheOutcome outcome = job.ticket->outcome();
+            out.cache = service::cache_outcome_json_name(outcome);
+            out.service_cache = service::cache_outcome_name(outcome);
+            out.queue_wait_ms = job.ticket->queue_wait_seconds() * 1000.0;
+            out.retry_after_ms = job.ticket->retry_after_ms();
+        } else if (g_interrupted.load()) {
+            out.result.error = "interrupted by signal";
+        } else if (!remote_ || !compile_remote(job, out)) {
+            if (remote_) {
+                out.cache = "local-fallback";
+            }
+            out.result = compile_local(*job.kernel);
+        }
+        return out;
+    }
+
+    /** The closing metrics line of a batch. */
+    void
+    print_metrics(std::FILE* info) const
+    {
+        if (service_) {
+            std::fprintf(info, "; service metrics: %s\n",
+                         service_->metrics().to_json().c_str());
+        } else if (remote_) {
+            std::fprintf(info, "; remote metrics: %s\n",
+                         remote_metrics_json(remote_->counters()).c_str());
+        }
+    }
+
+  private:
+    /**
+     * One compile through the daemon. False when it stayed unreachable
+     * (or kept shedding): the caller then compiles locally with the
+     * same pipeline and options, so the artifact bytes do not change,
+     * only the process that computed them.
+     */
+    bool
+    compile_remote(const Job& job, KernelOutcome& out)
+    {
+        daemon::CompileRequest req;
+        req.kernel_name = job.kernel->name;
+        req.kernel_text = job.text;
+        req.options = cli_.compiler;
+        req.priority = priority_;
+        req.submit_timeout_seconds = cli_.submit_timeout_seconds;
+        const std::uint64_t retries = remote_->counters().remote_retries;
+        const std::optional<daemon::CompileResponse> resp =
+            remote_->compile(req);
+        if (!resp) {
+            std::fprintf(stderr,
+                         "; daemon unreachable after %llu retries: "
+                         "compiling locally\n",
+                         static_cast<unsigned long long>(
+                             remote_->counters().remote_retries - retries));
+            return false;
+        }
+        out.cache = "remote";
+        if (resp->status == daemon::ResponseStatus::kOk) {
+            out.result.ok = true;
+            out.result.compiled =
+                service::compiled_from_entry(*job.kernel, *resp->entry);
+            out.result.fallback_level =
+                out.result.compiled->report.fallback_level;
+        } else {
+            out.result.error = resp->error;
+            out.result.failure_class = resp->failure_class;
+            out.result.user_error = resp->failure_class == FailureClass::kUser;
+            out.retry_after_ms = resp->retry_after_ms;
+        }
+        return true;
+    }
+
+    CompileResult
+    compile_local(const scalar::Kernel& kernel) const
+    {
+        if (!cli_.strict) {
+            return compile_kernel_resilient(kernel, cli_.compiler);
+        }
+        // --strict: the raw pipeline, which throws on any failure. The
+        // resilient driver arms --fault specs itself; this path must arm
+        // them here or they would be silently ignored.
+        for (const std::string& spec : cli_.compiler.fault_specs) {
+            faults::arm(faults::parse_spec(spec));
+        }
+        CompileResult result;
+        result.ok = true;
+        result.compiled = compile_kernel(kernel, cli_.compiler);
+        return result;
+    }
+
+    /**
+     * Polls instead of blocking so a SIGINT/SIGTERM mid-batch sheds the
+     * queue and every remaining ticket resolves with a structured
+     * Overloaded result — the JSON array always closes.
+     */
+    void
+    wait(const service::Ticket& ticket)
+    {
+        while (ticket.future.wait_for(std::chrono::milliseconds(100)) !=
+               std::future_status::ready) {
+            if (g_interrupted.load() && !drained_) {
+                std::fprintf(stderr,
+                             "dioscc: interrupted: shedding queued "
+                             "kernels\n");
+                service_->drain(service::DrainMode::kShed);
+                drained_ = true;
             }
         }
     }
-    if (cli.json) {
-        std::printf("]\n");
-    }
-    std::fprintf(info, "; remote metrics: %s\n",
-                 remote_metrics_json(client.counters()).c_str());
-    return any_user_error ? 2 : 0;
-}
+
+    const CliOptions& cli_;
+    service::Priority priority_;
+    std::optional<daemon::RemoteClient> remote_;
+    std::optional<service::CompileService> service_;
+    bool drained_ = false;
+};
 
 /**
- * --serve driver: run a diosd daemon in-process until SIGINT/SIGTERM,
- * then drain gracefully and flush one final metrics document.
+ * Reports one kernel's outcome: the commentary row (in single-kernel
+ * runs also the DEGRADED and compile-cache lines) or the error, and
+ * with --json the report object. A failed single kernel prints no
+ * object; its exit code carries the failure. Returns whether it
+ * compiled.
  */
-int
-run_serve(const CliOptions& cli)
+bool
+report_outcome(const CliOptions& cli, const KernelOutcome& o,
+               std::FILE* info)
 {
-    DIOS_CHECK(cli.path.empty() && cli.batch_path.empty() &&
-                   cli.remote_socket.empty() && !cli.strict && !cli.run,
-               "--serve combines only with --json, --jobs, --cache-dir, "
-               "--cache-disk-budget, --shed-watermark, "
-               "--neg-cache-ttl-s, --read-deadline-s, and "
-               "--drain-deadline-s");
-    daemon::DaemonOptions dopts;
-    dopts.socket_path = cli.serve_socket;
-    dopts.service.jobs = cli.jobs;
-    dopts.service.cache_dir = cli.cache_dir;
-    dopts.service.disk_budget_bytes = cli.cache_disk_budget;
-    dopts.service.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
-    dopts.service.shed_watermark = cli.shed_watermark;
-    dopts.read_deadline_seconds = cli.read_deadline_seconds;
-    dopts.drain_deadline_seconds = cli.drain_deadline_seconds;
-
-    daemon::Daemon daemon(dopts);
-    daemon.start();
-    install_stop_handlers();
-    std::fprintf(stderr, "; dioscc: serving on %s (pid %d, %d jobs)\n",
-                 cli.serve_socket.c_str(), ::getpid(), cli.jobs);
-    while (!g_interrupted.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const bool batch = !cli.batch_path.empty();
+    const CompileResult& result = o.result;
+    if (!result.ok) {
+        std::fprintf(stderr, "dioscc: error: %s%s%s\n",
+                     batch ? o.name.c_str() : "", batch ? ": " : "",
+                     result.error.c_str());
+        if (result.attempts.size() > 1) {
+            for (const AttemptDiagnostic& a : result.attempts) {
+                std::fprintf(stderr, ";   rung %d (%s): %s\n", a.level,
+                             fallback_level_name(a.level), a.error.c_str());
+            }
+        }
+        if (cli.json && batch) {
+            print_json_failure(o.name, result.error, result.user_error,
+                               o.cache, o.queue_wait_ms, o.retry_after_ms);
+        }
+        return false;
     }
-    std::fprintf(stderr, "; dioscc: signal received, draining\n");
-    daemon.shutdown(service::DrainMode::kFinish);
-    if (cli.json) {
-        std::printf("%s\n", daemon.status_json().c_str());
+    const CompileReport& r = result.report();
+    if (batch) {
+        std::fprintf(info, "; [%s] %s\n", o.cache,
+                     report_row(o.name, r).c_str());
     } else {
-        std::printf("; daemon metrics: %s\n",
-                    daemon.status_json().c_str());
+        if (r.fallback_level > 0) {
+            std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
+                         r.fallback_level,
+                         fallback_level_name(r.fallback_level),
+                         r.error.c_str());
+        }
+        if (o.service_cache != nullptr) {
+            std::fprintf(info, "; compile cache: %s\n", o.service_cache);
+        }
+        std::fprintf(info, "; %s\n", report_row(o.name, r).c_str());
     }
-    return 0;
+    if (cli.json) {
+        print_json_object(o.name, r, o.cache, o.queue_wait_ms);
+        if (!batch) {
+            std::printf("\n");
+        }
+    }
+    return true;
 }
 
 /**
- * --batch driver: every manifest kernel through one CompileService.
- * Returns non-zero only when some kernel failed with a *user* error.
+ * --batch driver: every manifest kernel through one compile path (the
+ * service, or a daemon with local fallback). Returns non-zero only when
+ * some kernel failed with a *user* error.
  */
 int
 run_batch(const CliOptions& cli)
 {
-    DIOS_CHECK(!cli.strict && !cli.run && !cli.emit_c &&
-                   !cli.emit_native && !cli.emit_asm && !cli.emit_spec &&
-                   cli.dot_path.empty() && cli.path.empty(),
-               "--batch combines only with --json, --jobs, --cache-dir, "
-               "--cache-disk-budget, and compiler options");
-
     install_stop_handlers();
     std::FILE* info = cli.json ? stderr : stdout;
     const std::vector<std::string> paths = read_manifest(cli.batch_path);
-
-    service::CompileService::Options sopts;
-    sopts.jobs = cli.jobs;
-    sopts.cache_dir = cli.cache_dir;
-    sopts.disk_budget_bytes = cli.cache_disk_budget;
-    sopts.queue_capacity = paths.size() + 1;  // submit never blocks here
-    sopts.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
-    sopts.shed_watermark = cli.shed_watermark;
-    service::CompileService svc(sopts);
-
-    service::SubmitOptions subopts;
-    subopts.priority =
-        cli.priority_set ? cli.priority : service::Priority::kBatch;
-    subopts.submit_timeout_seconds = cli.submit_timeout_seconds;
-
-    struct Item {
-        std::string path;
-        std::string name;
-        service::Ticket ticket;
-        bool submitted = false;
-        std::string parse_error;
-    };
-    std::vector<Item> items;
-    items.reserve(paths.size());
+    KernelCompiler compiler(cli, paths.size());
+    std::vector<KernelCompiler::Job> jobs;
+    jobs.reserve(paths.size());
     for (const std::string& path : paths) {
-        Item item;
-        item.path = path;
-        try {
-            const scalar::Kernel kernel = scalar::parse_kernel_file(path);
-            item.name = kernel.name;
-            item.ticket = svc.submit(kernel, cli.compiler, subopts);
-            item.submitted = true;
-        } catch (const UserError& e) {
-            item.name = path;
-            item.parse_error = e.what();
-        }
-        items.push_back(std::move(item));
+        jobs.push_back(compiler.start(path));
     }
 
     bool any_user_error = false;
-    bool drained = false;
     if (cli.json) {
         std::printf("[");
     }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        Item& item = items[i];
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (cli.json && i > 0) {
             std::printf(",");
         }
-        if (!item.submitted) {
-            any_user_error = true;
-            std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                         item.path.c_str(), item.parse_error.c_str());
-            if (cli.json) {
-                print_json_failure(item.name, item.parse_error,
-                                   /*user_error=*/true, "none");
-            }
-            continue;
-        }
-        // Poll instead of blocking so a SIGINT/SIGTERM mid-batch sheds
-        // the queue and every remaining ticket resolves with a
-        // structured Overloaded result — the JSON array always closes.
-        while (!drained) {
-            if (g_interrupted.load()) {
-                std::fprintf(stderr,
-                             "dioscc: interrupted: shedding queued "
-                             "kernels\n");
-                svc.drain(service::DrainMode::kShed);
-                drained = true;
-                break;
-            }
-            if (item.ticket.future.wait_for(
-                    std::chrono::milliseconds(100)) ==
-                std::future_status::ready) {
-                break;
-            }
-        }
-        const CompileResult& result = item.ticket.get();
-        const char* cache =
-            service::cache_outcome_json_name(item.ticket.outcome());
-        const double wait_ms = item.ticket.queue_wait_seconds() * 1000.0;
-        if (result.ok) {
-            std::fprintf(info, "; [%s] %s\n", cache,
-                         report_row(item.name, result.report()).c_str());
-            if (cli.json) {
-                print_json_object(item.name, result.report(), cache,
-                                  wait_ms);
-            }
-        } else {
-            any_user_error = any_user_error || result.user_error;
-            std::fprintf(stderr, "dioscc: error: %s: %s\n",
-                         item.name.c_str(), result.error.c_str());
-            if (cli.json) {
-                print_json_failure(item.name, result.error,
-                                   result.user_error, cache, wait_ms,
-                                   item.ticket.retry_after_ms());
-            }
+        const KernelOutcome outcome = compiler.finish(jobs[i]);
+        if (!report_outcome(cli, outcome, info)) {
+            any_user_error = any_user_error || outcome.result.user_error;
         }
     }
     if (cli.json) {
         std::printf("]\n");
     }
-    std::fprintf(info, "; service metrics: %s\n",
-                 svc.metrics().to_json().c_str());
+    compiler.print_metrics(info);
     return any_user_error ? 2 : 0;
 }
 
@@ -1077,150 +1069,31 @@ try {
     if (cli.lint_strategies) {
         return run_lint_strategies(cli);
     }
+    check_flag_combinations(cli);
     startup_rule_lint(cli.compiler.target.vector_width);
     startup_strategy_lint(cli.compiler.target.vector_width);
     startup_machine_lint();
-    if (!cli.serve_socket.empty()) {
-        return run_serve(cli);
-    }
     if (!cli.batch_path.empty()) {
-        return cli.remote_socket.empty() ? run_batch(cli)
-                                         : run_batch_remote(cli);
+        return run_batch(cli);
     }
-    const scalar::Kernel kernel = scalar::parse_kernel_file(cli.path);
 
     // With --json, stdout must stay machine-parseable; with
     // --emit-native it must stay host-compilable (the ';' commentary
     // is not C). Route the commentary to stderr in both cases.
     std::FILE* info = (cli.json || cli.emit_native) ? stderr : stdout;
 
-    std::fprintf(info, "; kernel '%s' from %s\n", kernel.name.c_str(),
-                 cli.path.c_str());
-
-    CompiledKernel compiled;
-    const char* cache = "none";
-    if (!cli.remote_socket.empty()) {
-        DIOS_CHECK(!cli.strict,
-                   "--remote and --strict do not combine: the strict "
-                   "path is local by definition");
-        daemon::RemoteOptions ropts;
-        ropts.socket_path = cli.remote_socket;
-        ropts.jitter_seed = cli.seed;
-        daemon::RemoteClient client(ropts);
-        daemon::CompileRequest req;
-        req.kernel_name = kernel.name;
-        req.kernel_text = slurp_file(cli.path);
-        req.options = cli.compiler;
-        req.priority = cli.priority_set ? cli.priority
-                                        : service::Priority::kInteractive;
-        req.submit_timeout_seconds = cli.submit_timeout_seconds;
-        const std::optional<daemon::CompileResponse> resp =
-            client.compile(req);
-        if (resp && resp->status == daemon::ResponseStatus::kOk) {
-            compiled = service::compiled_from_entry(kernel, *resp->entry);
-            cache = "remote";
-        } else if (resp) {
-            std::fprintf(stderr, "dioscc: error: %s\n",
-                         resp->error.c_str());
-            return resp->failure_class == FailureClass::kUser ? 2 : 1;
-        } else {
-            // Unreachable daemon: degrade to a local compile. Identical
-            // pipeline and options — the artifact bytes do not change,
-            // only the process that computed them, so the notice goes
-            // to stderr even when commentary is routed to stdout.
-            std::fprintf(stderr,
-                         "; daemon unreachable after %llu retries: "
-                         "compiling locally\n",
-                         static_cast<unsigned long long>(
-                             client.counters().remote_retries));
-            CompileResult result =
-                compile_kernel_resilient(kernel, cli.compiler);
-            if (!result.ok) {
-                std::fprintf(stderr, "dioscc: error: %s\n",
-                             result.error.c_str());
-                return result.user_error ? 2 : 1;
-            }
-            if (result.fallback_level > 0) {
-                std::fprintf(info,
-                             "; DEGRADED to rung %d (%s) after: %s\n",
-                             result.fallback_level,
-                             fallback_level_name(result.fallback_level),
-                             result.compiled->report.error.c_str());
-            }
-            compiled = std::move(*result.compiled);
-            cache = "local-fallback";
-        }
-    } else if (cli.strict) {
-        // The resilient driver arms --fault specs itself; the strict
-        // path must arm them here or they would be silently ignored.
-        for (const std::string& spec : cli.compiler.fault_specs) {
-            faults::arm(faults::parse_spec(spec));
-        }
-        compiled = compile_kernel(kernel, cli.compiler);
-    } else if (!cli.cache_dir.empty()) {
-        // Route through the compile service so a warm --cache-dir run is
-        // served from the persistent cache instead of re-saturating.
-        service::CompileService::Options sopts;
-        sopts.jobs = cli.jobs;
-        sopts.cache_dir = cli.cache_dir;
-        sopts.disk_budget_bytes = cli.cache_disk_budget;
-        sopts.negative_ttl_seconds = cli.neg_cache_ttl_seconds;
-        sopts.shed_watermark = cli.shed_watermark;
-        service::CompileService svc(sopts);
-        // A human at the keyboard is the definition of interactive.
-        service::SubmitOptions subopts;
-        subopts.priority = cli.priority_set
-                               ? cli.priority
-                               : service::Priority::kInteractive;
-        subopts.submit_timeout_seconds = cli.submit_timeout_seconds;
-        service::Ticket ticket =
-            svc.submit(kernel, cli.compiler, subopts);
-        const CompileResult& result = ticket.get();
-        cache = service::cache_outcome_json_name(ticket.outcome());
-        if (!result.ok) {
-            std::fprintf(stderr, "dioscc: error: %s\n",
-                         result.error.c_str());
-            return result.user_error ? 2 : 1;
-        }
-        if (result.fallback_level > 0) {
-            std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
-                         result.fallback_level,
-                         fallback_level_name(result.fallback_level),
-                         result.compiled->report.error.c_str());
-        }
-        std::fprintf(info, "; compile cache: %s\n",
-                     service::cache_outcome_name(ticket.outcome()));
-        compiled = *result.compiled;
-    } else {
-        CompileResult result =
-            compile_kernel_resilient(kernel, cli.compiler);
-        if (!result.ok) {
-            std::fprintf(stderr,
-                         "dioscc: error: all %zu degradation rungs "
-                         "failed: %s\n",
-                         result.attempts.size(), result.error.c_str());
-            for (const AttemptDiagnostic& a : result.attempts) {
-                std::fprintf(stderr, ";   rung %d (%s): %s\n", a.level,
-                             fallback_level_name(a.level),
-                             a.error.c_str());
-            }
-            return 1;
-        }
-        if (result.fallback_level > 0) {
-            std::fprintf(info, "; DEGRADED to rung %d (%s) after: %s\n",
-                         result.fallback_level,
-                         fallback_level_name(result.fallback_level),
-                         result.compiled->report.error.c_str());
-        }
-        compiled = std::move(*result.compiled);
+    KernelCompiler compiler(cli, 1);
+    KernelCompiler::Job job = compiler.start(cli.path);
+    if (job.kernel) {
+        std::fprintf(info, "; kernel '%s' from %s\n",
+                     job.kernel->name.c_str(), cli.path.c_str());
     }
-
-    std::fprintf(info, "; %s\n",
-                 report_row(kernel.name, compiled.report).c_str());
-    if (cli.json) {
-        print_json_object(kernel.name, compiled.report, cache);
-        std::printf("\n");
+    const KernelOutcome outcome = compiler.finish(job);
+    if (!report_outcome(cli, outcome, info)) {
+        return outcome.result.user_error ? 2 : 1;
     }
+    const scalar::Kernel& kernel = *job.kernel;
+    const CompiledKernel& compiled = *outcome.result.compiled;
     if (cli.compiler.validate) {
         std::fprintf(info,
                      "; translation validation: %s; random check: %s\n",
@@ -1236,14 +1109,17 @@ try {
     }
 
     if (!cli.dot_path.empty()) {
-        // Re-run saturation on the padded spec to obtain the e-graph (the
-        // compiled artifact does not retain it), then dump Graphviz.
+        // The compiled artifact does not retain its e-graph: re-run
+        // saturation on the padded spec exactly as the full-pipeline
+        // rung ran it (same strategy, limits and deadline), then dump
+        // Graphviz.
         CompilerOptions opts = cli.compiler;
         opts.sync();
         EGraph graph;
-        graph.add_term(compiled.padded_spec);
+        const ClassId root = graph.add_term(compiled.padded_spec);
         graph.rebuild();
-        Runner(opts.limits).run(graph, build_rules(opts.rules));
+        saturate(graph, root, build_rules(opts.rules), opts,
+                 effective_deadline(opts));
         std::ofstream out(cli.dot_path);
         out << graph.to_dot();
         std::fprintf(info,
