@@ -424,7 +424,7 @@ CompiledKernel::run(const scalar::BufferMap& inputs,
     outcome.outputs = layout.read_outputs(memory);
     // Shape-check against the kernel's output manifest so callers can
     // element-wise compare without out-of-bounds reads.
-    for (const auto& [name, len] : spec.outputs) {
+    for (const auto& [name, len] : scalar::output_manifest(kernel)) {
         const auto it = outcome.outputs.find(name);
         DIOS_ASSERT(it != outcome.outputs.end(),
                     "simulated run produced no buffer for output '" + name +

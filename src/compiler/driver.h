@@ -244,13 +244,25 @@ struct CompileReport {
     std::string error;
 };
 
-/** A fully compiled kernel. */
+/**
+ * A fully compiled kernel. A compile fills every field; an artifact
+ * served from the compile cache or a daemon
+ * (service::compiled_from_entry) fills only `kernel`, `layout`,
+ * `machine`, `c_source` and `report`, so readers of the spec lift it
+ * from `kernel`.
+ */
 struct CompiledKernel {
     scalar::Kernel kernel;
+    /** The lifted spec (empty on a served artifact). */
     scalar::LiftedSpec spec;
-    /** The padded spec actually optimized (alignment zeros inserted). */
+    /**
+     * The padded spec actually optimized (alignment zeros inserted);
+     * null on a served artifact.
+     */
     TermRef padded_spec;
+    /** The extracted term; null on a served artifact. */
     TermRef extracted;
+    /** The lowered vector program; empty on a served artifact. */
     vir::VProgram vprogram;
     vir::CompiledLayout layout;
     Program machine;
@@ -264,9 +276,11 @@ struct CompiledKernel {
     };
     /**
      * Runs on the simulator. The returned output buffers are validated
-     * against the kernel's output manifest (every declared output
-     * present, at its declared length) before being handed back, so
-     * callers can element-wise compare without out-of-bounds risk.
+     * against the kernel's output manifest (scalar::output_manifest:
+     * every declared output present, at its declared length) before
+     * being handed back, so callers can element-wise compare without
+     * out-of-bounds risk. The manifest comes from `kernel`, so served
+     * artifacts are checked exactly like compiled ones.
      */
     RunOutcome run(const scalar::BufferMap& inputs,
                    const TargetSpec& target) const;

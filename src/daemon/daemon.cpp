@@ -12,7 +12,6 @@
 
 #include "daemon/protocol.h"
 #include "scalar/parse.h"
-#include "service/cache_key.h"
 #include "support/error.h"
 
 namespace diospyros::daemon {
@@ -347,10 +346,8 @@ Daemon::handle_frame(int fd, const Frame& frame)
         resp.error = result->error;
         if (result->ok) {
             resp.status = ResponseStatus::kOk;
-            const service::CacheKey ck =
-                service::compute_cache_key(kernel, req.options);
-            resp.entry =
-                service::make_entry(ck, req.options, *result->compiled);
+            resp.entry = service::make_entry(ticket.key(), req.options,
+                                             *result->compiled);
         } else if (result->failure_class == FailureClass::kOverloaded) {
             resp.status = ResponseStatus::kShed;
             resp.retry_after_ms = ticket.retry_after_ms();

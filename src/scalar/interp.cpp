@@ -67,6 +67,16 @@ array_length(const Kernel& kernel, const ArrayDecl& decl)
     return n;
 }
 
+std::vector<std::pair<std::string, std::int64_t>>
+output_manifest(const Kernel& kernel)
+{
+    std::vector<std::pair<std::string, std::int64_t>> manifest;
+    for (const ArrayDecl& decl : kernel.arrays_with_role(ArrayRole::kOutput)) {
+        manifest.emplace_back(decl.name.str(), array_length(kernel, decl));
+    }
+    return manifest;
+}
+
 namespace {
 
 class Interpreter {

@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -43,5 +44,13 @@ bool eval_cond(const Cond& c,
 
 /** Concrete flattened length of a kernel array. */
 std::int64_t array_length(const Kernel& kernel, const ArrayDecl& decl);
+
+/**
+ * The kernel's output arrays in signature order with their flattened
+ * lengths, read off the declarations alone: the same list lift() records
+ * as LiftedSpec::outputs, without lifting the body.
+ */
+std::vector<std::pair<std::string, std::int64_t>> output_manifest(
+    const Kernel& kernel);
 
 }  // namespace diospyros::scalar

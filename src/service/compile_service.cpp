@@ -379,6 +379,7 @@ CompileService::submit(const scalar::Kernel& kernel, CompilerOptions options,
     Ticket ticket;
     ticket.state_ = job->state;
     ticket.future = job->future;
+    ticket.key_ = job->key;
 
     std::unique_lock<std::mutex> lock(mu_);
     DIOS_CHECK(!stopping_, "submit() after CompileService shutdown");

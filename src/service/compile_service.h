@@ -290,6 +290,13 @@ class Ticket {
     /** Blocks until done and returns the result. */
     const CompileResult& get() const { return *future.get(); }
 
+    /**
+     * The request's cache key, computed once at submit(); callers that
+     * persist or forward the artifact reuse it instead of hashing the
+     * kernel again.
+     */
+    const CacheKey& key() const { return key_; }
+
   private:
     friend class CompileService;
     struct State {
@@ -298,6 +305,7 @@ class Ticket {
         std::atomic<std::uint64_t> queue_wait_us{0};
     };
     std::shared_ptr<State> state_;
+    CacheKey key_;
 };
 
 class CompileService {

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "machine/target.h"
-#include "scalar/symbolic.h"
 #include "support/error.h"
 #include "support/hash.h"
 
@@ -446,15 +445,10 @@ make_entry(const CacheKey& key, const CompilerOptions& options,
 CompiledKernel
 compiled_from_entry(const scalar::Kernel& kernel, const CachedEntry& entry)
 {
+    // No compiler stage runs here: the spec, padded spec and extracted
+    // term stay empty (see serialize.h file header).
     CompiledKernel ck;
     ck.kernel = kernel;
-    ck.spec = scalar::lift(kernel);
-    auto [padded, slots] = pad_lifted_spec(ck.spec, entry.vector_width);
-    (void)slots;
-    ck.padded_spec = padded;
-    // The optimized term is not persisted (see serialize.h file header);
-    // alias the spec so printers never dereference a null term.
-    ck.extracted = padded;
     ck.layout = vir::CompiledLayout::make(kernel, entry.vector_width);
     ck.layout.set_pool(entry.pool);
     ck.machine = entry.machine;

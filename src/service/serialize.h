@@ -12,9 +12,10 @@
  * constant pool, the generated C source (quoted-string atom), and the
  * original CompileReport. The optimized DSL term is deliberately NOT
  * persisted: printed as a tree it can be exponentially larger than its
- * DAG, and nothing downstream of emission needs it. When a kernel is
- * reconstructed from disk, its `extracted` field aliases the (re-lifted)
- * padded spec as a placeholder.
+ * DAG, and nothing downstream of emission needs it. Rebuilding a
+ * servable kernel from an entry runs no compiler stage: the kernel is
+ * not re-lifted, and the rebuilt artifact's `spec`, `padded_spec`,
+ * `extracted` and `vprogram` stay empty (see CompiledKernel).
  *
  * Round-trip contract: write(read(x)) == x byte-for-byte, and a
  * deserialized program disassembles identically to the original —
@@ -123,9 +124,12 @@ CachedEntry make_entry(const CacheKey& key, const CompilerOptions& options,
                        const CompiledKernel& compiled);
 
 /**
- * Reconstructs a servable CompiledKernel from a cached entry: re-lifts
- * the (cheap) spec, rebuilds the memory layout, and installs the stored
- * machine program, pool, C source, and report.
+ * Reconstructs a servable CompiledKernel from a cached entry without
+ * lifting the kernel: rebuilds the memory layout from the kernel's
+ * declarations, and installs the stored machine program, pool, C
+ * source, and report. The compiler intermediates (`spec`,
+ * `padded_spec`, `extracted`, `vprogram`) stay empty; run() takes its
+ * output manifest from the kernel's declarations instead.
  */
 CompiledKernel compiled_from_entry(const scalar::Kernel& kernel,
                                    const CachedEntry& entry);

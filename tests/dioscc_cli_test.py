@@ -10,8 +10,10 @@ socket (local fallback). Checks the `cache` label of every mode and
 that egraph_nodes, extracted_cost and lvn_removed agree across modes.
 Also checks a bad kernel inside a batch (exit 2, in-band failure
 object), that --batch rejects the same flag combinations with and
-without --remote, and that --emit-dot dumps the e-graph the compile
-saturated.
+without --remote, that --emit-dot dumps the e-graph the compile
+saturated, and that --emit-spec, --emit-dot and --run print the same
+thing on a cold compile, a warm --cache-dir hit and a live --remote
+compile (served artifacts carry no spec, so dioscc lifts it itself).
 """
 import json
 import os
@@ -43,6 +45,34 @@ def single(dioscc, path, *args):
 def batch(dioscc, manifest, *args, expect=0):
     proc = run(dioscc, "--batch", manifest, "--json", *args, expect=expect)
     return json.loads(proc.stdout)
+
+
+def artifact_views(dioscc, path, dot, *args):
+    """What --emit-spec, --emit-dot and --run print for one compile.
+
+    Leaves out the timing commentary, which differs between a fresh
+    compile and a served one.
+    """
+    out = run(dioscc, path, "--emit-spec", "--emit-dot", dot, "--run",
+              *args).stdout
+    counts = re.search(r"; wrote e-graph \((\d+) nodes, (\d+) classes\)",
+                       out)
+    assert counts, out
+    with open(dot) as f:
+        dot_text = f.read()
+    return out, {
+        "spec": out.split("; lifted specification\n", 1)[1]
+                   .split("\n", 1)[0],
+        "dot counts": counts.groups(),
+        "dot": dot_text,
+        "run": out.split("; simulated cycles\n", 1)[1],
+    }
+
+
+def check_views(got, want, mode):
+    for key, value in want.items():
+        assert got[key] == value, \
+            f"{mode}: {key} differs\n{got[key]!r}\nwant\n{value!r}"
 
 
 def check(report, cache, want, mode):
@@ -105,6 +135,17 @@ def main():
             check(report, cache, want[report["kernel"]], "cache-dir")
             assert f"; compile cache: {label}" in err, err
 
+        # --emit-spec / --emit-dot / --run agree between a cold compile
+        # and a cold then warm --cache-dir.
+        dot = os.path.join(tmp, "views.dot")
+        _, views = artifact_views(dioscc, paths[0], dot)
+        cache_dir = os.path.join(tmp, "views-cache")
+        for label in ("miss", "disk-hit"):
+            out, got = artifact_views(dioscc, paths[0], dot,
+                                      "--cache-dir", cache_dir)
+            assert f"; compile cache: {label}" in out, out
+            check_views(got, views, f"--cache-dir {label}")
+
         # Batch: cold then warm --cache-dir.
         cache_dir = os.path.join(tmp, "batch-cache")
         check_batch(batch(dioscc, manifest, "--cache-dir", cache_dir),
@@ -120,6 +161,9 @@ def main():
             check(report, "remote", want[report["kernel"]], "remote")
             check_batch(batch(dioscc, manifest, "--remote", socket),
                         "remote", "batch remote")
+            _, got = artifact_views(dioscc, paths[0], dot,
+                                    "--remote", socket)
+            check_views(got, views, "remote")
         finally:
             stop_daemon(daemon)
 

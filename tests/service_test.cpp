@@ -15,6 +15,7 @@
 
 #include "compiler/driver.h"
 #include "daemon/protocol.h"
+#include "kernels/extras.h"
 #include "kernels/kernels.h"
 #include "machine/program.h"
 #include "scalar/canonical.h"
@@ -326,9 +327,13 @@ TEST(Serialization, EntryRoundTripsByteForByte)
     const service::CachedEntry back = entry_from_text(text);
     EXPECT_EQ(entry_text(back), text);
 
-    // The reconstructed kernel serves byte-identical artifacts...
+    // The reconstructed kernel serves byte-identical artifacts without
+    // re-running any compiler stage (no lifted or padded spec)...
     const CompiledKernel served =
         service::compiled_from_entry(kernel, back);
+    EXPECT_EQ(served.padded_spec, nullptr);
+    EXPECT_EQ(served.extracted, nullptr);
+    EXPECT_TRUE(served.spec.outputs.empty());
     EXPECT_EQ(served.c_source, result.compiled->c_source);
     EXPECT_EQ(asm_text(served, options), asm_text(*result.compiled, options));
     EXPECT_EQ(served.report.extracted_cost,
@@ -371,6 +376,67 @@ TEST(Serialization, EntryRoundTripsByteForByte)
         }
     }
     EXPECT_EQ(cases, 84);
+}
+
+TEST(Serialization, OutputManifestMatchesLiftedOutputs)
+{
+    // run() shape-checks against the manifest read off the declarations;
+    // it must name exactly the outputs lift() records, in order.
+    std::vector<Kernel> kernels = {vector_add_kernel(8), dot_kernel(8),
+                                   kernels::make_fir(8, 3),
+                                   kernels::make_normalize(6),
+                                   kernels::make_inverse2x2(),
+                                   kernels::make_affine3(2),
+                                   kernels::make_pairwise_dist2(2, 3)};
+    for (const kernels::BenchmarkInstance& inst :
+         kernels::table1_instances()) {
+        kernels.push_back(inst.kernel);
+    }
+    ASSERT_EQ(kernels.size(), 28u);
+    for (const Kernel& kernel : kernels) {
+        EXPECT_EQ(scalar::output_manifest(kernel),
+                  scalar::lift(kernel).outputs)
+            << kernel.name;
+    }
+}
+
+TEST(Serialization, ServedRunStillShapeChecksOutputs)
+{
+    // A served artifact carries no lifted spec, yet run() must still
+    // reject a layout whose output disagrees with the kernel's manifest.
+    // The variant declares C one element shorter; at width 4 both pad C
+    // to 8 words, so the program runs and only the shape check fires.
+    const Kernel kernel = vector_add_kernel(8);
+    KernelBuilder kb("vadd8_short");
+    kb.input("A", scalar::IntExpr::constant(8));
+    kb.input("B", scalar::IntExpr::constant(8));
+    kb.output("C", scalar::IntExpr::constant(7));
+    const Kernel shorter = kb.build();
+
+    const CompilerOptions options = test_options();
+    const CompileResult result = compile_kernel_resilient(kernel, options);
+    ASSERT_TRUE(result.ok);
+    const service::CachedEntry entry = service::make_entry(
+        service::compute_cache_key(kernel, options), options,
+        *result.compiled);
+    CompiledKernel served = service::compiled_from_entry(kernel, entry);
+
+    scalar::BufferMap inputs;
+    inputs["A"] = {1, 2, 3, 4, 5, 6, 7, 8};
+    inputs["B"] = {8, 7, 6, 5, 4, 3, 2, 1};
+    EXPECT_NO_THROW(served.run(inputs, options.target));
+
+    served.layout =
+        vir::CompiledLayout::make(shorter, options.target.vector_width);
+    served.layout.set_pool(entry.pool);
+    try {
+        served.run(inputs, options.target);
+        ADD_FAILURE() << "run() accepted a 7-element output for C[8]";
+    } catch (const InternalError& e) {
+        EXPECT_NE(std::string(e.what()).find("manifest declares 8"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /**
@@ -645,6 +711,21 @@ TEST(CompileService, DeterministicAcrossWorkerCounts)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i], parallel[i]) << "kernel #" << i;
+    }
+}
+
+TEST(CompileService, TicketCarriesTheRequestCacheKey)
+{
+    CompileService svc(CompileService::Options{});
+    const Kernel kernel = dot_kernel(8);
+    CompilerOptions options = test_options();
+    options.target.vector_width = 8;
+    // Miss, then memory hit: both tickets carry the key submit() hashed.
+    for (int round = 0; round < 2; ++round) {
+        const service::Ticket ticket = svc.submit(kernel, options);
+        ASSERT_TRUE(ticket.get().ok);
+        EXPECT_EQ(ticket.key(), service::compute_cache_key(kernel, options))
+            << "round " << round;
     }
 }
 

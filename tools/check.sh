@@ -166,16 +166,19 @@ fi
 if [[ "${1:-}" != "--fast" || ! -d "$build_tsan" ]]; then
     cmake --preset tsan -S "$repo"
 fi
+# dioscc_cli_test drives the TSan dioscc against a live TSan diosd, so
+# the warm --cache-dir and --remote paths run over a real socket.
 cmake --build "$build_tsan" -j "$jobs" \
       --target service_test resilience_test analysis_test \
-               durability_test overload_test strategy_test daemon_test
+               durability_test overload_test strategy_test daemon_test \
+               dioscc diosd
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$build_tsan" --output-on-failure \
-      -R '^(service_test|resilience_test|analysis_test|durability_test|overload_test|strategy_test|daemon_test)$'
+      -R '^(service_test|resilience_test|analysis_test|durability_test|overload_test|strategy_test|daemon_test|dioscc_cli_test)$'
 
 echo "check.sh: service + resilience + analysis + durability + overload" \
-     "+ strategy + daemon tests passed under TSan"
+     "+ strategy + daemon + dioscc CLI tests passed under TSan"
 
 # E-matching benchmark gate: run the matcher microbenchmarks from the
 # default (non-sanitized, RelWithDebInfo) build so timings are

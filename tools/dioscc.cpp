@@ -1108,6 +1108,16 @@ try {
                      compiled.report.machine_witness.c_str());
     }
 
+    // The padded spec, lifted here from the kernel: an artifact served
+    // from --cache-dir or --remote carries no spec, so cold and served
+    // compiles take the same path.
+    TermRef padded_spec;
+    if (cli.emit_spec || !cli.dot_path.empty()) {
+        padded_spec = pad_lifted_spec(scalar::lift(kernel),
+                                      cli.compiler.target.vector_width)
+                          .first;
+    }
+
     if (!cli.dot_path.empty()) {
         // The compiled artifact does not retain its e-graph: re-run
         // saturation on the padded spec exactly as the full-pipeline
@@ -1116,7 +1126,7 @@ try {
         CompilerOptions opts = cli.compiler;
         opts.sync();
         EGraph graph;
-        const ClassId root = graph.add_term(compiled.padded_spec);
+        const ClassId root = graph.add_term(padded_spec);
         graph.rebuild();
         saturate(graph, root, build_rules(opts.rules), opts,
                  effective_deadline(opts));
@@ -1130,7 +1140,7 @@ try {
 
     if (cli.emit_spec) {
         std::printf("\n; lifted specification\n%s\n",
-                    Term::to_string(compiled.padded_spec).c_str());
+                    Term::to_string(padded_spec).c_str());
     }
     if (cli.emit_c) {
         std::printf("\n%s", compiled.c_source.c_str());
